@@ -9,7 +9,13 @@ import argparse
 import sys
 
 from . import pontsolve, report, rootsys
-from .obstruct import CHECK_IDS, VerificationReport, theorem_pipeline
+from .obstruct import (
+    CHECK_IDS,
+    OMITTED_WITHOUT_SYMMETRY,
+    OMITTED_WITHOUT_WINDOW,
+    VerificationReport,
+    theorem_pipeline,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,17 +102,18 @@ def _cmd_tables(which: str) -> int:
     return 0
 
 
-def _emit(rep: VerificationReport, args) -> int:
+def _emit(rep: VerificationReport, args, ok: bool) -> int:
+    """Print the report and copy it to ``--out``: 0 if ``ok``, else 1; 2 if ``--out`` fails."""
     text = report.render(rep, args.format)
     print(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    if rep.theorem_status == "OBSTRUCTED" and rep.all_passed():
-        return 0
-    if rep.theorem_status == "INCONCLUSIVE" and rep.all_passed():
-        return 0
-    return 1
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"d4check: error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
+    return 0 if ok else 1
 
 
 def main(argv=None) -> int:
@@ -123,25 +130,29 @@ def main(argv=None) -> int:
     if args.command in ("verify-all", "report", "verify"):
         if args.window < 4:
             parser.error(f"--window must be >= 4, got {args.window}")
-        if args.command == "verify" and args.check_id not in CHECK_IDS:
-            parser.error(f"unknown check-id: {args.check_id}")
+        if args.command == "verify":
+            if args.check_id not in CHECK_IDS:
+                parser.error(f"unknown check-id: {args.check_id}")
+            for switch, on, omitted in (
+                ("--no-symmetry-constraint", args.no_symmetry_constraint, OMITTED_WITHOUT_SYMMETRY),
+                ("--skip-window-checks", args.skip_window_checks, OMITTED_WITHOUT_WINDOW),
+            ):
+                if on and args.check_id in omitted:
+                    parser.error(f"{switch} leaves check {args.check_id} out of the run")
         rep = theorem_pipeline(
             window=args.window,
             disable_symmetry=args.no_symmetry_constraint,
             skip_window=args.skip_window_checks,
         )
         if args.command == "verify":
-            selected = VerificationReport(
+            rep = VerificationReport(
                 checks=[c for c in rep.checks if c.id == args.check_id],
                 theorem_status=rep.theorem_status,
             )
-            text = report.render(selected, args.format)
-            print(text)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            return 0 if selected.checks and selected.all_passed() else 1
-        return _emit(rep, args)
+            ok = bool(rep.checks) and rep.all_passed()
+        else:
+            ok = rep.all_passed() and rep.theorem_status in ("OBSTRUCTED", "INCONCLUSIVE")
+        return _emit(rep, args, ok)
 
     parser.error(f"unknown command: {args.command}")
     return 2

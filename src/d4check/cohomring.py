@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .rootsys import SIMPLE_INDICES, RootSystem, cartan_number, simple_cartan_matrix
+from .rootsys import SIMPLE_INDICES, CartanMatrix, RootSystem, cartan_number
 
 _POS = {idx: k for k, idx in enumerate(SIMPLE_INDICES)}
 
@@ -82,23 +82,25 @@ def omega_from_t(c: CohClass) -> CohClass:
     return CohClass("omega", tuple(x))
 
 
-def omega_from_d(c: CohClass) -> CohClass:
+def omega_from_d(c: CohClass, cartan: CartanMatrix) -> CohClass:
     """d_i = sum_j B[i][j] omega_j with B the simple Cartan matrix."""
     if c.basis != "d":
         raise ValueError("expected d-basis class")
-    from .rootsys import build_d4
-
-    b = linalg.to_matrix(simple_cartan_matrix(build_d4(4)))
+    b = linalg.to_matrix(cartan)
     x = linalg.mat_vec(linalg.transpose(b), list(c.coords))
     return CohClass("omega", tuple(x))
 
 
 def to_omega(c: CohClass) -> CohClass:
+    """Omega coordinates of an omega- or t-basis class.
+
+    A d-basis class needs the Cartan matrix: convert it with ``omega_from_d``.
+    """
     if c.basis == "omega":
         return c
     if c.basis == "t":
         return omega_from_t(c)
-    return omega_from_d(c)
+    raise ValueError("d-basis class: convert it with omega_from_d first")
 
 
 def kronecker(c: CohClass, h: HomClass) -> Fraction:
@@ -116,37 +118,34 @@ def kronecker_matrix(rs: RootSystem) -> list[list[int]]:
     ]
 
 
-def euler_class_d(rs: RootSystem, i: int) -> CohClass:
+def euler_class_d(cartan: CartanMatrix, i: int) -> CohClass:
     """The Euler class d_i of a simple curvature sphere, in omega coordinates."""
     if i not in SIMPLE_INDICES:
         raise ValueError(f"not a simple index: {i}")
-    row = simple_cartan_matrix(rs)[_POS[i]]
-    return CohClass.of("omega", *row)
+    return omega_from_d(CohClass.of("d", *(1 if s == i else 0 for s in SIMPLE_INDICES)), cartan)
 
 
-def homology_action(rs: RootSystem, i: int, h: HomClass) -> HomClass:
+def homology_action(cartan: CartanMatrix, i: int, h: HomClass) -> HomClass:
     """Reflection action on homology: b_j -> b_j - beta_ij * b_i."""
     if i not in SIMPLE_INDICES:
         raise ValueError(f"not a simple index: {i}")
-    beta = simple_cartan_matrix(rs)
     r = _POS[i]
     out = list(h.coords)
     out[r] -= sum(
-        Fraction(beta[r][j]) * h.coords[j] for j in range(4)
+        Fraction(cartan[r][j]) * h.coords[j] for j in range(4)
     )
     return HomClass(tuple(out))
 
 
-def cohomology_action_omega(rs: RootSystem, i: int, c: CohClass) -> CohClass:
+def cohomology_action_omega(cartan: CartanMatrix, i: int, c: CohClass) -> CohClass:
     """Dual reflection action in the omega basis, extended linearly."""
     if i not in SIMPLE_INDICES:
         raise ValueError(f"not a simple index: {i}")
     if c.basis != "omega":
         raise ValueError("expected omega-basis class")
-    beta = simple_cartan_matrix(rs)
     r = _POS[i]
     xi = c.coords[r]
-    out = [c.coords[j] - xi * Fraction(beta[r][j]) for j in range(4)]
+    out = [c.coords[j] - xi * Fraction(cartan[r][j]) for j in range(4)]
     return CohClass("omega", tuple(out))
 
 
@@ -166,23 +165,24 @@ class TSignedPerm:
 T_IDENTITY = TSignedPerm((0, 1, 2, 3), (1, 1, 1, 1))
 
 
-def _omega_action_matrix(rs: RootSystem, i: int) -> linalg.Matrix:
+def _omega_action_matrix(cartan: CartanMatrix, i: int) -> linalg.Matrix:
     cols = []
     for k in range(4):
         e = CohClass("omega", tuple(Fraction(1 if j == k else 0) for j in range(4)))
-        cols.append(list(cohomology_action_omega(rs, i, e).coords))
+        cols.append(list(cohomology_action_omega(cartan, i, e).coords))
     return linalg.transpose(cols)
 
 
-def action_on_t(rs: RootSystem, i: int) -> TSignedPerm:
+def action_on_t(cartan: CartanMatrix, i: int) -> TSignedPerm:
     """Conjugate the omega-basis action into t coordinates.
 
     The result must be a signed permutation of the variables; anything else
     signals a convention error upstream.
     """
-    m_omega = _omega_action_matrix(rs, i)
+    m_omega = _omega_action_matrix(cartan, i)
     q = linalg.transpose(T_OF_OMEGA)  # omega coords from t coords
-    m_t = linalg.mat_mul(linalg.invert(q), linalg.mat_mul(m_omega, q))
+    q_inv = linalg.transpose(OMEGA_OF_T)  # t coords from omega coords
+    m_t = linalg.mat_mul(q_inv, linalg.mat_mul(m_omega, q))
     perm = [0] * 4
     signs = [0] * 4
     for j in range(4):
@@ -195,8 +195,9 @@ def action_on_t(rs: RootSystem, i: int) -> TSignedPerm:
     return TSignedPerm(tuple(perm), tuple(signs))
 
 
-def t_actions(rs: RootSystem) -> dict[int, TSignedPerm]:
-    return {i: action_on_t(rs, i) for i in SIMPLE_INDICES}
+def t_actions(cartan: CartanMatrix) -> dict[int, TSignedPerm]:
+    """The generator actions on t1..t4; ValueError if one is not a signed permutation."""
+    return {i: action_on_t(cartan, i) for i in SIMPLE_INDICES}
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from .cohomring import (
     T_OF_OMEGA,
     TSignedPerm,
     euler_class_d,
-    t_actions,
+    omega_from_t,
 )
-from .rootsys import WORD_TABLE, RootSystem, build_d4
+from .rootsys import WORD_TABLE, CartanMatrix
 
 # Linear form over the unknowns (k1, k2, k3, k4).
 LinForm = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -64,14 +64,14 @@ ORBIT_WORDS: dict[int, tuple[int, ...]] = {1: (), **WORD_TABLE}
 
 
 def orbit_classes(
-    rs: RootSystem, generic: SymbolicClass
+    acts: dict[int, TSignedPerm], generic: SymbolicClass
 ) -> dict[int, SymbolicClass]:
     """The twelve symbolic classes, one per positive root.
 
+    ``acts`` are the generator actions on t1..t4 (``cohomring.t_actions``).
     A word of pullbacks composes contravariantly as written: the rightmost
     starred generator acts first.
     """
-    acts = t_actions(rs)
     out = {}
     for idx, word in sorted(ORBIT_WORDS.items()):
         cls = generic
@@ -148,9 +148,9 @@ def symmetry_constraint(classes: dict[int, SymbolicClass]) -> list[Equation]:
 
 
 def assemble_constraints(
-    rs: RootSystem, include_symmetry: bool = True
+    classes: dict[int, SymbolicClass], include_symmetry: bool = True
 ) -> list[Equation]:
-    classes = orbit_classes(rs, generic_class())
+    """The constraint system over the orbit classes of the generic class."""
     eqs = [leaf_sphere_constraint()]
     eqs += sum_zero_constraint(classes)
     if include_symmetry:
@@ -248,17 +248,17 @@ def focal_sum_reduced(classes: dict[int, SymbolicClass]) -> list[tuple[Fraction,
 # Final classes of the distinguished 4-plane bundle.
 
 
-def lemma8_classes(rs: RootSystem | None = None) -> tuple[CohClass, CohClass]:
+def lemma8_classes(
+    cartan: CartanMatrix, basis: list[list[Fraction]]
+) -> tuple[CohClass, CohClass]:
     """Euler class and the unit-coefficient Pontryagin class in omega coords.
 
+    ``basis`` is the solved nullspace of the full constraint system.
     Returns (euler, p1_unit) where the first Pontryagin class is
     2k * (omega_2 - omega_9), reported here per unit k.  The printed source
     for this conversion has a typo (a nonexistent basis symbol); the
     derivation fixes the last basis vector.
     """
-    rs = rs or build_d4(4)
-    eqs = assemble_constraints(rs)
-    basis = solve(eqs)
     if len(basis) != 1:
         raise ValueError(f"solution space has dimension {len(basis)}, expected 1")
     v = basis[0]
@@ -267,8 +267,6 @@ def lemma8_classes(rs: RootSystem | None = None) -> tuple[CohClass, CohClass]:
     v = [x * scale for x in v]
     if v != [Fraction(1), Fraction(1), Fraction(-1), Fraction(-1)]:
         raise ValueError(f"unexpected solution line: {v}")
-    from .cohomring import omega_from_t
-
-    euler = euler_class_d(rs, 1)
+    euler = euler_class_d(cartan, 1)
     p1_unit = omega_from_t(CohClass("t", tuple(v)))
     return euler, p1_unit

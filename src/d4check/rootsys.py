@@ -146,8 +146,15 @@ def cartan_number(rs: RootSystem, i: int, j: int) -> Fraction:
     return 2 * ai.inner(aj) / aj.inner(aj)
 
 
-def simple_cartan_matrix(rs: RootSystem) -> list[list[int]]:
-    """Cartan matrix over the simple indices, in the order (1, 2, 3, 9)."""
+#: Integer matrix over the simple indices, rows and columns in the order (1, 2, 3, 9).
+CartanMatrix = list[list[int]]
+
+
+def simple_cartan_matrix(rs: RootSystem) -> CartanMatrix:
+    """Cartan matrix over the simple indices, in the order (1, 2, 3, 9).
+
+    It is computed from the roots; callers build it once and pass it on.
+    """
     return [
         [int(cartan_number(rs, i, j)) for j in rs.simple_indices]
         for i in rs.simple_indices
@@ -228,9 +235,8 @@ WORD_TABLE: dict[int, tuple[int, ...]] = {
 }
 
 
-def verify_word_table(rs: RootSystem) -> dict[int, bool]:
+def verify_word_table(rs: RootSystem, gens: dict[int, WeylElement]) -> dict[int, bool]:
     """Check each tabulated word sends the first root to the indexed root."""
-    gens = simple_generators(rs)
     alpha1 = rs.root(1)
     result = {}
     for idx, word in WORD_TABLE.items():

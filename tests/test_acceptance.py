@@ -28,6 +28,11 @@ def gens(rs):
     return rootsys.simple_generators(rs)
 
 
+@pytest.fixture(scope="module")
+def cartan(rs):
+    return rootsys.simple_cartan_matrix(rs)
+
+
 def report(name, ok):
     print(f"acceptance {'PASS' if ok else 'FAIL'}: {name}")
     assert ok
@@ -46,29 +51,29 @@ def test_criterion_02_cartan_matrix(rs):
 
 
 def test_criterion_03_word_table_and_orbit(rs, gens):
-    words_ok = all(rootsys.verify_word_table(rs).values())
+    words_ok = all(rootsys.verify_word_table(rs, gens).values())
     group = rootsys.enumerate_group(gens.values())
     orbit_ok = len(rootsys.orbit(group, rs.root(1))) == 24
     report("3. word table (11 identities) and root orbit of size 24",
            words_ok and orbit_ok)
 
 
-def test_criterion_04_t_actions_and_duality(rs):
+def test_criterion_04_t_actions_and_duality(cartan):
     expected = {
         1: TSignedPerm((1, 0, 2, 3), (1, 1, 1, 1)),
         2: TSignedPerm((0, 2, 1, 3), (1, 1, 1, 1)),
         3: TSignedPerm((0, 1, 3, 2), (1, 1, 1, 1)),
         9: TSignedPerm((0, 1, 3, 2), (1, 1, -1, -1)),
     }
-    actions_ok = ch.t_actions(rs) == expected
+    actions_ok = ch.t_actions(cartan) == expected
     duality_ok = True
     for i in SIMPLE_INDICES:
         for k in range(4):
             x = CohClass("omega", tuple(F(1 if j == k else 0) for j in range(4)))
             for j in SIMPLE_INDICES:
                 h = HomClass.basis(j)
-                lhs = ch.kronecker(ch.cohomology_action_omega(rs, i, x), h)
-                rhs = ch.kronecker(x, ch.homology_action(rs, i, h))
+                lhs = ch.kronecker(ch.cohomology_action_omega(cartan, i, x), h)
+                rhs = ch.kronecker(x, ch.homology_action(cartan, i, h))
                 duality_ok = duality_ok and lhs == rhs
     report("4. variable actions match the table; pairing duality on all basis triples",
            actions_ok and duality_ok)
@@ -79,8 +84,8 @@ def test_criterion_05_theta_identities():
            all(ch.verify_theta_identities().values()))
 
 
-def test_criterion_06_invariance_suite(rs):
-    acts = ch.t_actions(rs)
+def test_criterion_06_invariance_suite(cartan):
+    acts = ch.t_actions(cartan)
     full = list(acts.values())
     stab = [acts[1], acts[2], acts[3]]
     ok = (
@@ -92,8 +97,8 @@ def test_criterion_06_invariance_suite(rs):
     report("6. invariance suite", ok)
 
 
-def test_criterion_07_orbit_tables(rs):
-    classes = ps.orbit_classes(rs, ps.generic_class())
+def test_criterion_07_orbit_tables(cartan):
+    classes = ps.orbit_classes(ch.t_actions(cartan), ps.generic_class())
     t42 = all(ps.check_orbit_table(classes).values())
     t43 = all(ps.check_focal_table(classes).values())
     fsum = ps.focal_sum_reduced(classes)
@@ -107,18 +112,21 @@ def test_criterion_07_orbit_tables(rs):
     report("7. orbit class tables and factored focal sum", t42 and t43 and fsum_ok)
 
 
-def test_criterion_08_solver(rs):
-    basis = ps.solve(ps.assemble_constraints(rs, include_symmetry=True))
+def test_criterion_08_solver(cartan):
+    classes = ps.orbit_classes(ch.t_actions(cartan), ps.generic_class())
+    basis = ps.solve(ps.assemble_constraints(classes, include_symmetry=True))
     full_ok = len(basis) == 1 and [x / basis[0][0] for x in basis[0]] == [
         F(1), F(1), F(-1), F(-1),
     ]
-    partial = ps.solve(ps.assemble_constraints(rs, include_symmetry=False))
+    partial = ps.solve(ps.assemble_constraints(classes, include_symmetry=False))
     report("8. solver: line span{(1,1,-1,-1)}; dimension 2 without symmetry",
            full_ok and len(partial) == 2)
 
 
-def test_criterion_09_bundle_classes(rs):
-    euler, p1_unit = ps.lemma8_classes(rs)
+def test_criterion_09_bundle_classes(cartan):
+    classes = ps.orbit_classes(ch.t_actions(cartan), ps.generic_class())
+    line = ps.solve(ps.assemble_constraints(classes))
+    euler, p1_unit = ps.lemma8_classes(cartan, line)
     report("9. Euler class (2,-1,0,0) and Pontryagin class 2k(w2 - w9)",
            euler.coords == (2, -1, 0, 0) and p1_unit.coords == (0, 2, 0, -2))
 

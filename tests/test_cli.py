@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +103,48 @@ def test_out_file(tmp_path, capsys):
     code, out = run_cli(capsys, "verify-all", "--format", "json", "--out", str(target))
     assert code == 0
     assert target.read_text() == out.rstrip("\n") or target.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "check_id, switch",
+    [
+        ("bundle-classes", "--no-symmetry-constraint"),
+        ("exact-sequence-window", "--skip-window-checks"),
+    ],
+)
+def test_switch_suppressing_check_exits_2(capsys, check_id, switch):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", check_id, switch])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert switch in err and check_id in err
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code = main(["verify", "weyl-order", "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and str(target) in err
+    assert not target.exists()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, fixture",
+    [
+        (["verify-all"], "verify-all.txt"),
+        (["verify-all", "--format", "json"], "verify-all.json"),
+    ],
+)
+def test_report_matches_golden(capsys, argv, fixture):
+    # two runs in one process can agree and still differ from the committed
+    # report; the fixtures pin the bytes, so a change to them must be deliberate
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / fixture).read_bytes()
 
 
 def test_report_alias(capsys):

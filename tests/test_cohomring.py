@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from d4check import cohomring as ch
 from d4check.cohomring import CohClass, HomClass, Polynomial, TSignedPerm
-from d4check.rootsys import SIMPLE_INDICES, build_d4
+from d4check.rootsys import SIMPLE_INDICES, build_d4, simple_cartan_matrix
 
 
 @pytest.fixture(scope="module")
@@ -15,8 +15,13 @@ def rs():
 
 
 @pytest.fixture(scope="module")
-def acts(rs):
-    return ch.t_actions(rs)
+def cartan(rs):
+    return simple_cartan_matrix(rs)
+
+
+@pytest.fixture(scope="module")
+def acts(cartan):
+    return ch.t_actions(cartan)
 
 
 def omega_unit(k):
@@ -47,26 +52,33 @@ def test_kronecker_simple_submatrix_is_cartan(rs):
     ]
 
 
-def test_euler_class_d1(rs):
-    assert ch.euler_class_d(rs, 1).coords == (2, -1, 0, 0)
+def test_euler_class_d1(cartan):
+    assert ch.euler_class_d(cartan, 1).coords == (2, -1, 0, 0)
 
 
-def test_euler_class_d9(rs):
-    assert ch.euler_class_d(rs, 9).coords == (0, -1, 0, 2)
+def test_euler_class_d9(cartan):
+    assert ch.euler_class_d(cartan, 9).coords == (0, -1, 0, 2)
 
 
-def test_euler_class_pairings_recover_cartan(rs):
+def test_euler_class_pairings_recover_cartan(rs, cartan):
     for i in SIMPLE_INDICES:
-        d = ch.euler_class_d(rs, i)
+        d = ch.euler_class_d(cartan, i)
         for j in SIMPLE_INDICES:
             from d4check.rootsys import cartan_number
 
             assert ch.kronecker(d, HomClass.basis(j)) == cartan_number(rs, i, j)
 
 
-def test_euler_class_rejects_nonsimple(rs):
+def test_euler_class_rejects_nonsimple(cartan):
     with pytest.raises(ValueError):
-        ch.euler_class_d(rs, 4)
+        ch.euler_class_d(cartan, 4)
+
+
+def test_d_basis_converts_only_with_cartan_matrix(cartan):
+    d1 = CohClass.of("d", 1, 0, 0, 0)
+    with pytest.raises(ValueError):
+        ch.kronecker(d1, HomClass.basis(1))
+    assert ch.kronecker(ch.omega_from_d(d1, cartan), HomClass.basis(2)) == -1
 
 
 def test_t_from_omega_unit():
@@ -97,29 +109,29 @@ def test_pairing_is_basis_independent(coords):
 # -- induced actions --------------------------------------------------------
 
 
-def test_homology_action_examples(rs):
+def test_homology_action_examples(cartan):
     b1, b2, b9 = HomClass.basis(1), HomClass.basis(2), HomClass.basis(9)
-    assert ch.homology_action(rs, 1, b1).coords == (-1, 0, 0, 0)
-    assert ch.homology_action(rs, 1, b2).coords == (1, 1, 0, 0)
-    assert ch.homology_action(rs, 2, b9).coords == (0, 1, 0, 1)
+    assert ch.homology_action(cartan, 1, b1).coords == (-1, 0, 0, 0)
+    assert ch.homology_action(cartan, 1, b2).coords == (1, 1, 0, 0)
+    assert ch.homology_action(cartan, 2, b9).coords == (0, 1, 0, 1)
 
 
-def test_omega_action_examples(rs):
-    assert ch.cohomology_action_omega(rs, 1, omega_unit(1)).coords == (0, 1, 0, 0)
-    assert ch.cohomology_action_omega(rs, 1, omega_unit(0)).coords == (-1, 1, 0, 0)
-    assert ch.cohomology_action_omega(rs, 9, omega_unit(3)).coords == (0, 1, 0, -1)
+def test_omega_action_examples(cartan):
+    assert ch.cohomology_action_omega(cartan, 1, omega_unit(1)).coords == (0, 1, 0, 0)
+    assert ch.cohomology_action_omega(cartan, 1, omega_unit(0)).coords == (-1, 1, 0, 0)
+    assert ch.cohomology_action_omega(cartan, 9, omega_unit(3)).coords == (0, 1, 0, -1)
 
 
-def test_actions_are_involutions(rs):
+def test_actions_are_involutions(cartan):
     for i in SIMPLE_INDICES:
         for k in range(4):
             c = omega_unit(k)
             twice = ch.cohomology_action_omega(
-                rs, i, ch.cohomology_action_omega(rs, i, c)
+                cartan, i, ch.cohomology_action_omega(cartan, i, c)
             )
             assert twice.coords == c.coords
             h = HomClass.basis(SIMPLE_INDICES[k])
-            htwice = ch.homology_action(rs, i, ch.homology_action(rs, i, h))
+            htwice = ch.homology_action(cartan, i, ch.homology_action(cartan, i, h))
             assert htwice.coords == h.coords
 
 
@@ -130,14 +142,14 @@ def test_t_actions_match_table(rs, acts):
     assert acts[9] == TSignedPerm((0, 1, 3, 2), (1, 1, -1, -1))
 
 
-def test_duality_exhaustive(rs):
+def test_duality_exhaustive(cartan):
     for i in SIMPLE_INDICES:
         for k in range(4):
             x = omega_unit(k)
             for j in SIMPLE_INDICES:
                 h = HomClass.basis(j)
-                lhs = ch.kronecker(ch.cohomology_action_omega(rs, i, x), h)
-                rhs = ch.kronecker(x, ch.homology_action(rs, i, h))
+                lhs = ch.kronecker(ch.cohomology_action_omega(cartan, i, x), h)
+                rhs = ch.kronecker(x, ch.homology_action(cartan, i, h))
                 assert lhs == rhs
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from d4check import obstruct
+from d4check import cohomring, linalg, obstruct, rootsys
 from d4check.cohomring import CohClass
 from d4check.obstruct import CongruenceCondition, solve_congruence, residues_mod2
 
@@ -83,12 +83,15 @@ def test_pipeline_without_symmetry_is_inconclusive():
     solver = next(c for c in rep.checks if c.id == "pontryagin-solver")
     assert solver.status == "pass"
     assert "dimension 2" in solver.detail
+    ran = {c.id for c in rep.checks}
+    assert [i for i in obstruct.CHECK_IDS if i not in ran] == obstruct.OMITTED_WITHOUT_SYMMETRY
 
 
 def test_pipeline_skip_window_keeps_theorem():
     rep = obstruct.theorem_pipeline(skip_window=True)
     assert rep.theorem_status == "OBSTRUCTED"
-    assert "exact-sequence-window" not in [c.id for c in rep.checks]
+    ran = {c.id for c in rep.checks}
+    assert [i for i in obstruct.CHECK_IDS if i not in ran] == obstruct.OMITTED_WITHOUT_WINDOW
 
 
 def test_pipeline_is_deterministic():
@@ -103,3 +106,27 @@ def test_erratum_records_present():
     rep = obstruct.theorem_pipeline()
     errata = [c for c in rep.checks if c.status == "noted-erratum"]
     assert {c.id for c in errata} == {"basis-change-erratum", "bundle-classes-erratum"}
+
+
+def test_printed_basis_rows_fail_t_actions(monkeypatch):
+    # the printed rows for t3 and t4 give actions that are not signed permutations
+    printed = linalg.to_matrix(
+        [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 2]]
+    )
+    monkeypatch.setattr(cohomring, "T_OF_OMEGA", printed)
+    monkeypatch.setattr(cohomring, "OMEGA_OF_T", linalg.invert(printed))
+    rep = obstruct.theorem_pipeline()
+    assert rep.theorem_status == "FAILED"
+    assert "t-actions" in rep.failed_ids()
+    rec = next(c for c in rep.checks if c.id == "t-actions")
+    assert "not a signed permutation" in rec.detail
+
+
+def test_wrong_root_coordinate_fails_cartan_matrix(monkeypatch):
+    # the Cartan matrix is computed from the roots, not taken from a table
+    coords = list(rootsys._POSITIVE_ROOT_COORDS)
+    coords[8] = (0, 0, 0, 1)  # the ninth root should be (0, 0, 1, 1)
+    monkeypatch.setattr(rootsys, "_POSITIVE_ROOT_COORDS", tuple(coords))
+    rep = obstruct.theorem_pipeline()
+    assert rep.theorem_status == "FAILED"
+    assert "cartan-matrix" in rep.failed_ids()

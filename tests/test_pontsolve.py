@@ -3,17 +3,23 @@ from fractions import Fraction
 import pytest
 
 from d4check import pontsolve as ps
-from d4check.rootsys import build_d4
+from d4check.cohomring import t_actions
+from d4check.rootsys import build_d4, simple_cartan_matrix
 
 
 @pytest.fixture(scope="module")
-def rs():
-    return build_d4(4)
+def cartan():
+    return simple_cartan_matrix(build_d4(4))
 
 
 @pytest.fixture(scope="module")
-def classes(rs):
-    return ps.orbit_classes(rs, ps.generic_class())
+def acts(cartan):
+    return t_actions(cartan)
+
+
+@pytest.fixture(scope="module")
+def classes(acts):
+    return ps.orbit_classes(acts, ps.generic_class())
 
 
 def F(x):
@@ -54,11 +60,8 @@ def test_focal_table(classes):
     assert all(ps.check_focal_table(classes).values())
 
 
-def test_pullback_roundtrip(rs, classes):
+def test_pullback_roundtrip(acts, classes):
     # applying a word then its reverse returns every class unchanged
-    from d4check.cohomring import t_actions
-
-    acts = t_actions(rs)
     for idx, word in ps.ORBIT_WORDS.items():
         cls = classes[idx]
         for label in word:
@@ -95,9 +98,9 @@ def test_focal_sum_factors(classes):
     ]
 
 
-def test_symmetry_constraints_reduce_to_k4(rs, classes):
+def test_symmetry_constraints_reduce_to_k4(classes):
     # together with the other constraints, symmetry forces k4 = -k
-    eqs = ps.assemble_constraints(rs, include_symmetry=True)
+    eqs = ps.assemble_constraints(classes, include_symmetry=True)
     basis = ps.solve(eqs)
     assert len(basis) == 1
     v = basis[0]
@@ -105,15 +108,15 @@ def test_symmetry_constraints_reduce_to_k4(rs, classes):
     assert scaled == [F(1), F(1), F(-1), F(-1)]
 
 
-def test_solution_annihilates_every_constraint(rs):
-    eqs = ps.assemble_constraints(rs, include_symmetry=True)
+def test_solution_annihilates_every_constraint(classes):
+    eqs = ps.assemble_constraints(classes, include_symmetry=True)
     v = [F(1), F(1), F(-1), F(-1)]
     for eq in eqs:
         assert sum(c * x for c, x in zip(eq.coeffs, v)) == 0
 
 
-def test_without_symmetry_dimension_two(rs):
-    eqs = ps.assemble_constraints(rs, include_symmetry=False)
+def test_without_symmetry_dimension_two(classes):
+    eqs = ps.assemble_constraints(classes, include_symmetry=False)
     basis = ps.solve(eqs)
     assert len(basis) == 2
     # the plane is { (k, k, -k, k4) }
@@ -125,13 +128,13 @@ def test_empty_system_is_four_dimensional():
     assert len(ps.solve([])) == 4
 
 
-def test_lemma8_classes(rs):
-    euler, p1_unit = ps.lemma8_classes(rs)
+def test_lemma8_classes(cartan, classes):
+    euler, p1_unit = ps.lemma8_classes(cartan, ps.solve(ps.assemble_constraints(classes)))
     assert euler.coords == (2, -1, 0, 0)
     assert p1_unit.coords == (0, 2, 0, -2)
 
 
-def test_focal_sum_vanishes_at_solution(rs, classes):
+def test_focal_sum_vanishes_at_solution(classes):
     # substituting k1=k2=k, k3=k4=-k kills the focal sum entirely
     total = ps.focal_sum(classes)
     sol = [F(1), F(1), F(-1), F(-1)]

@@ -122,8 +122,8 @@ def test_orbit_of_identity(rs):
     assert rootsys.orbit([identity_element()], v) == {v}
 
 
-def test_word_table(rs):
-    assert all(rootsys.verify_word_table(rs).values())
+def test_word_table(rs, gens):
+    assert all(rootsys.verify_word_table(rs, gens).values())
 
 
 def test_words_replay_to_elements(rs, gens, group):
