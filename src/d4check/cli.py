@@ -45,9 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_one.add_argument("check_id", metavar="CHECK_ID", help=f"one of: {', '.join(CHECK_IDS)}")
     add_common(p_one)
 
-    p_rep = sub.add_parser("report", help="alias for verify-all")
-    add_common(p_rep)
-
     p_roots = sub.add_parser("roots", help="print the positive roots")
 
     p_weyl = sub.add_parser("weyl", help="Weyl group information")
@@ -127,7 +124,7 @@ def main(argv=None) -> int:
     if args.command == "tables":
         return _cmd_tables(args.which)
 
-    if args.command in ("verify-all", "report", "verify"):
+    if args.command in ("verify-all", "verify"):
         if args.window < 4:
             parser.error(f"--window must be >= 4, got {args.window}")
         if args.command == "verify":

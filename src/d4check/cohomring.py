@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .rootsys import SIMPLE_INDICES, CartanMatrix, RootSystem, cartan_number
+from .rootsys import (
+    SIMPLE_INDICES,
+    CartanMatrix,
+    RootSystem,
+    TSignedPerm,
+    cartan_number,
+    signed_perm,
+)
 
 _POS = {idx: k for k, idx in enumerate(SIMPLE_INDICES)}
 
@@ -149,22 +156,6 @@ def cohomology_action_omega(cartan: CartanMatrix, i: int, c: CohClass) -> CohCla
     return CohClass("omega", tuple(out))
 
 
-@dataclass(frozen=True)
-class TSignedPerm:
-    """Signed permutation of the variables t1..t4: t_j -> signs[j] * t_perm[j]."""
-
-    perm: tuple[int, int, int, int]
-    signs: tuple[int, int, int, int]
-
-    def compose(self, inner: "TSignedPerm") -> "TSignedPerm":
-        perm = tuple(self.perm[inner.perm[j]] for j in range(4))
-        signs = tuple(inner.signs[j] * self.signs[inner.perm[j]] for j in range(4))
-        return TSignedPerm(perm, signs)
-
-
-T_IDENTITY = TSignedPerm((0, 1, 2, 3), (1, 1, 1, 1))
-
-
 def _omega_action_matrix(cartan: CartanMatrix, i: int) -> linalg.Matrix:
     cols = []
     for k in range(4):
@@ -183,16 +174,7 @@ def action_on_t(cartan: CartanMatrix, i: int) -> TSignedPerm:
     q = linalg.transpose(T_OF_OMEGA)  # omega coords from t coords
     q_inv = linalg.transpose(OMEGA_OF_T)  # t coords from omega coords
     m_t = linalg.mat_mul(q_inv, linalg.mat_mul(m_omega, q))
-    perm = [0] * 4
-    signs = [0] * 4
-    for j in range(4):
-        col = [m_t[r][j] for r in range(4)]
-        nonzero = [(r, v) for r, v in enumerate(col) if v != 0]
-        if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
-            raise ValueError(f"t-action of generator {i} is not a signed permutation")
-        perm[j] = nonzero[0][0]
-        signs[j] = 1 if nonzero[0][1] > 0 else -1
-    return TSignedPerm(tuple(perm), tuple(signs))
+    return signed_perm(linalg.transpose(m_t), f"t-action of generator {i}")
 
 
 def t_actions(cartan: CartanMatrix) -> dict[int, TSignedPerm]:
@@ -205,22 +187,17 @@ def t_actions(cartan: CartanMatrix) -> dict[int, TSignedPerm]:
 
 
 class Polynomial:
-    """Sparse polynomial in t1..t4 over the rationals, graded by deg t_i = m."""
+    """Sparse polynomial in t1..t4 over the rationals."""
 
-    __slots__ = ("terms", "var_degree")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, var_degree: int = 4):
+    def __init__(self, terms=None):
         clean = {}
         for expo, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
             if coeff != 0:
                 clean[tuple(expo)] = coeff
         self.terms = clean
-        self.var_degree = var_degree
-
-    @staticmethod
-    def constant(c) -> "Polynomial":
-        return Polynomial({(0, 0, 0, 0): Fraction(c)})
 
     @staticmethod
     def variable(i: int) -> "Polynomial":
@@ -239,7 +216,7 @@ class Polynomial:
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
             out[expo] = out.get(expo, Fraction(0)) + coeff
-        return Polynomial(out, self.var_degree)
+        return Polynomial(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1)
@@ -250,19 +227,14 @@ class Polynomial:
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
                 out[expo] = out.get(expo, Fraction(0)) + c1 * c2
-        return Polynomial(out, self.var_degree)
+        return Polynomial(out)
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial({e: c * v for e, v in self.terms.items()}, self.var_degree)
+        return Polynomial({e: c * v for e, v in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def graded_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return self.var_degree * max(sum(e) for e in self.terms)
 
     def _sorted_terms(self):
         # total degree descending, then lexicographic on exponents
@@ -329,20 +301,11 @@ def act_on_polynomial(sp: TSignedPerm, p: Polynomial) -> Polynomial:
                 sign = -sign
         key = tuple(new_expo)
         out[key] = out.get(key, Fraction(0)) + sign * coeff
-    return Polynomial(out, p.var_degree)
+    return Polynomial(out)
 
 
 def is_invariant(p: Polynomial, generators) -> bool:
     return all(act_on_polynomial(g, p) == p for g in generators)
-
-
-def is_symmetric(p: Polynomial) -> bool:
-    transpositions = [
-        TSignedPerm((1, 0, 2, 3), (1, 1, 1, 1)),
-        TSignedPerm((0, 2, 1, 3), (1, 1, 1, 1)),
-        TSignedPerm((0, 1, 3, 2), (1, 1, 1, 1)),
-    ]
-    return is_invariant(p, transpositions)
 
 
 def verify_theta_identities() -> dict[str, bool]:

@@ -1,4 +1,4 @@
-"""Small exact linear algebra over Fractions: rref, rank, nullspace, inverse."""
+"""Small exact linear algebra over Fractions: rref, nullspace, inverse."""
 
 from __future__ import annotations
 
@@ -56,10 +56,6 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return a, pivots
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
 def nullspace(m: Matrix) -> list[list[Fraction]]:
     """Basis of the right nullspace, one vector per free column."""
     if not m:
@@ -84,23 +80,3 @@ def invert(m: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def determinant(m: Matrix) -> Fraction:
-    a = [row[:] for row in m]
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = Fraction(1) / a[c][c]
-        for i in range(c + 1, n):
-            f = a[i][c] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det

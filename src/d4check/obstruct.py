@@ -131,17 +131,25 @@ def theorem_pipeline(
     """
     rep = VerificationReport()
     rs = rootsys.build_d4(4)
-    gens = rootsys.simple_generators(rs)
 
     # Root system and group structure
-    group = rootsys.enumerate_group(gens.values())
+    try:
+        gens = rootsys.simple_generators(rs)
+        group = rootsys.enumerate_group(gens.values())
+        order_ok, order_detail = len(group) == 192, f"enumerated {len(group)} elements"
+    except ValueError as exc:
+        gens, order_ok, order_detail = None, False, str(exc)
     rep.add(
         "weyl-order",
         "Remark 1",
         "the four simple reflections generate a group of order 2^3 * 4! = 192",
-        len(group) == 192,
-        f"enumerated {len(group)} elements",
+        order_ok,
+        order_detail,
     )
+    if gens is None:
+        # the group checks below read the generators and the group
+        rep.theorem_status = "FAILED"
+        return rep
     stab = rootsys.enumerate_group([gens[1], gens[2], gens[3]])
     b_point = rootsys.RootVector.of(1, 1, 1, 1)
     stab_fixes = all(w.apply(b_point) == b_point for w in stab)
@@ -197,15 +205,13 @@ def theorem_pipeline(
         f"submatrix {sub}",
     )
 
-    import random
-
-    rng = random.Random(0)
-    roundtrip_ok = True
-    for _ in range(20):
-        coords = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4))
-        c = CohClass("omega", coords)
-        back = cohomring.omega_from_t(cohomring.t_from_omega(c))
-        roundtrip_ok = roundtrip_ok and back.coords == coords
+    # the conversions are linear, so the four basis classes decide the identity
+    omega_units = [
+        CohClass.of("omega", *(1 if s == k else 0 for s in range(4))) for k in range(4)
+    ]
+    roundtrip_ok = all(
+        cohomring.omega_from_t(cohomring.t_from_omega(c)) == c for c in omega_units
+    )
     rep.add(
         "basis-roundtrip",
         "(3-1)/(3-2)",
@@ -220,10 +226,10 @@ def theorem_pipeline(
     )
 
     expected_t = {
-        1: cohomring.TSignedPerm((1, 0, 2, 3), (1, 1, 1, 1)),
-        2: cohomring.TSignedPerm((0, 2, 1, 3), (1, 1, 1, 1)),
-        3: cohomring.TSignedPerm((0, 1, 3, 2), (1, 1, 1, 1)),
-        9: cohomring.TSignedPerm((0, 1, 3, 2), (1, 1, -1, -1)),
+        1: rootsys.TSignedPerm((1, 0, 2, 3), (1, 1, 1, 1)),
+        2: rootsys.TSignedPerm((0, 2, 1, 3), (1, 1, 1, 1)),
+        3: rootsys.TSignedPerm((0, 1, 3, 2), (1, 1, 1, 1)),
+        9: rootsys.TSignedPerm((0, 1, 3, 2), (1, 1, -1, -1)),
     }
     try:
         acts = cohomring.t_actions(cartan)
@@ -244,8 +250,7 @@ def theorem_pipeline(
 
     duality_ok = True
     for i in SIMPLE_INDICES:
-        for x_idx, xi in enumerate(SIMPLE_INDICES):
-            x = CohClass("omega", tuple(Fraction(1 if s == x_idx else 0) for s in range(4)))
+        for x in omega_units:
             for h_idx in SIMPLE_INDICES:
                 h = HomClass.basis(h_idx)
                 lhs = kronecker(cohomring.cohomology_action_omega(cartan, i, x), h)

@@ -13,14 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cohomring import (
-    CohClass,
-    T_OF_OMEGA,
-    TSignedPerm,
-    euler_class_d,
-    omega_from_t,
-)
-from .rootsys import WORD_TABLE, CartanMatrix
+from .cohomring import CohClass, T_OF_OMEGA, euler_class_d, omega_from_t
+from .rootsys import WORD_TABLE, CartanMatrix, TSignedPerm
 
 # Linear form over the unknowns (k1, k2, k3, k4).
 LinForm = tuple[Fraction, Fraction, Fraction, Fraction]

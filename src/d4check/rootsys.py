@@ -8,7 +8,7 @@ over the generator labels 1 < 2 < 3 < 9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -44,18 +44,20 @@ class RootVector:
 
 
 @dataclass(frozen=True)
-class WeylElement:
-    """A signed permutation of the four coordinates.
+class TSignedPerm:
+    """A signed permutation of four coordinates.
 
     ``perm[i] = j`` and ``signs[i] = s`` mean the i-th basis vector maps to
-    s times the j-th basis vector (0-indexed).  ``word`` is a reduced word
-    over generator labels, read right-to-left when acting (the rightmost
-    generator is applied first); it does not participate in equality.
+    s times the j-th basis vector (0-indexed).  The Weyl group acts this way
+    on the normal-plane basis e_1..e_4 and, dually, on the variables t1..t4
+    (t_j -> signs[j] * t_perm[j]).  ``word`` is a reduced word over generator
+    labels, read right-to-left when acting (the rightmost generator is
+    applied first); it does not participate in equality.
     """
 
     perm: tuple[int, int, int, int]
     signs: tuple[int, int, int, int]
-    word: tuple[int, ...] = field(default=(), compare=False)
+    word: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def apply(self, v: RootVector) -> RootVector:
         out = [Fraction(0)] * 4
@@ -63,38 +65,32 @@ class WeylElement:
             out[self.perm[i]] = self.signs[i] * v.coords[i]
         return RootVector(tuple(out))
 
-    def sign_product(self) -> int:
-        p = 1
-        for s in self.signs:
-            p *= s
-        return p
 
-    def inverse(self) -> "WeylElement":
-        perm = [0] * 4
-        signs = [1] * 4
-        for i in range(4):
-            perm[self.perm[i]] = i
-            signs[self.perm[i]] = self.signs[i]
-        return WeylElement(tuple(perm), tuple(signs), tuple(reversed(self.word)))
+def identity_element() -> TSignedPerm:
+    return TSignedPerm((0, 1, 2, 3), (1, 1, 1, 1), ())
 
 
-def identity_element() -> WeylElement:
-    return WeylElement((0, 1, 2, 3), (1, 1, 1, 1), ())
-
-
-def compose(outer: WeylElement, inner: WeylElement) -> WeylElement:
+def compose(outer: TSignedPerm, inner: TSignedPerm) -> TSignedPerm:
     """outer after inner (inner applied first)."""
     perm = tuple(outer.perm[inner.perm[i]] for i in range(4))
     signs = tuple(inner.signs[i] * outer.signs[inner.perm[i]] for i in range(4))
-    return WeylElement(perm, signs, outer.word + inner.word)
+    return TSignedPerm(perm, signs, outer.word + inner.word)
 
 
-@dataclass(frozen=True)
-class FoliationSpec:
-    diagram: str
-    multiplicity: int
-    dim_M: int
-    ambient_n: int
+def signed_perm(columns: Sequence[Sequence[Fraction]], what: str) -> TSignedPerm:
+    """The signed permutation that sends basis vector k to ``columns[k]``.
+
+    Raises ValueError naming ``what`` if some column is not a signed unit vector.
+    """
+    perm = [0] * 4
+    signs = [0] * 4
+    for k, col in enumerate(columns):
+        nonzero = [(t, c) for t, c in enumerate(col) if c != 0]
+        if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
+            raise ValueError(f"{what} is not a signed permutation")
+        perm[k] = nonzero[0][0]
+        signs[k] = 1 if nonzero[0][1] > 0 else -1
+    return TSignedPerm(tuple(perm), tuple(signs))
 
 
 @dataclass(frozen=True)
@@ -134,12 +130,6 @@ def build_d4(m: int) -> RootSystem:
     return RootSystem(roots, SIMPLE_INDICES, m)
 
 
-def ambient_dims(m: int) -> FoliationSpec:
-    if m < 1:
-        raise ValueError(f"invalid multiplicity: {m}")
-    return FoliationSpec("D4", m, 12 * m, 12 * m + 4)
-
-
 def cartan_number(rs: RootSystem, i: int, j: int) -> Fraction:
     """2(a_i, a_j) / (a_j, a_j); an integer for any pair of roots."""
     ai, aj = rs.root(i), rs.root(j)
@@ -161,29 +151,23 @@ def simple_cartan_matrix(rs: RootSystem) -> CartanMatrix:
     ]
 
 
-def reflection(rs: RootSystem, i: int) -> WeylElement:
+def reflection(rs: RootSystem, i: int) -> TSignedPerm:
     """The reflection in the hyperplane normal to the i-th positive root."""
     alpha = rs.root(i)
     norm = alpha.inner(alpha)
-    perm = [0] * 4
-    signs = [0] * 4
+    images = []
     for k in range(4):
         ek = RootVector.of(*(1 if t == k else 0 for t in range(4)))
-        image = ek - alpha.scale(2 * ek.inner(alpha) / norm)
-        nonzero = [(t, c) for t, c in enumerate(image.coords) if c != 0]
-        if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
-            raise ValueError(f"reflection {i} is not a signed permutation")
-        perm[k] = nonzero[0][0]
-        signs[k] = 1 if nonzero[0][1] > 0 else -1
+        images.append((ek - alpha.scale(2 * ek.inner(alpha) / norm)).coords)
     label = (i,) if i in rs.simple_indices else ()
-    return WeylElement(tuple(perm), tuple(signs), label)
+    return replace(signed_perm(images, f"reflection {i}"), word=label)
 
 
-def simple_generators(rs: RootSystem) -> dict[int, WeylElement]:
+def simple_generators(rs: RootSystem) -> dict[int, TSignedPerm]:
     return {i: reflection(rs, i) for i in rs.simple_indices}
 
 
-def enumerate_group(generators: Iterable[WeylElement]) -> list[WeylElement]:
+def enumerate_group(generators: Iterable[TSignedPerm]) -> list[TSignedPerm]:
     """Breadth-first closure; each element gets its shortlex-minimal word.
 
     Generators must carry distinct one-letter words; they are processed in
@@ -192,7 +176,7 @@ def enumerate_group(generators: Iterable[WeylElement]) -> list[WeylElement]:
     """
     gens = sorted(generators, key=lambda g: g.word)
     ident = identity_element()
-    seen: dict[tuple, WeylElement] = {(ident.perm, ident.signs): ident}
+    seen: dict[tuple, TSignedPerm] = {(ident.perm, ident.signs): ident}
     frontier = [ident]
     while frontier:
         nxt = []
@@ -207,11 +191,11 @@ def enumerate_group(generators: Iterable[WeylElement]) -> list[WeylElement]:
     return list(seen.values())
 
 
-def orbit(group: Iterable[WeylElement], v: RootVector) -> set[RootVector]:
+def orbit(group: Iterable[TSignedPerm], v: RootVector) -> set[RootVector]:
     return {w.apply(v) for w in group}
 
 
-def element_from_word(word: Sequence[int], gens: dict[int, WeylElement]) -> WeylElement:
+def element_from_word(word: Sequence[int], gens: dict[int, TSignedPerm]) -> TSignedPerm:
     """Evaluate a word right-to-left (rightmost generator applied first)."""
     w = identity_element()
     for label in reversed(word):
@@ -235,7 +219,7 @@ WORD_TABLE: dict[int, tuple[int, ...]] = {
 }
 
 
-def verify_word_table(rs: RootSystem, gens: dict[int, WeylElement]) -> dict[int, bool]:
+def verify_word_table(rs: RootSystem, gens: dict[int, TSignedPerm]) -> dict[int, bool]:
     """Check each tabulated word sends the first root to the indexed root."""
     alpha1 = rs.root(1)
     result = {}

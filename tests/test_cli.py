@@ -145,9 +145,3 @@ def test_report_matches_golden(capsys, argv, fixture):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out.encode() == (GOLDEN / fixture).read_bytes()
-
-
-def test_report_alias(capsys):
-    code, out = run_cli(capsys, "report")
-    assert code == 0
-    assert "theorem status: OBSTRUCTED" in out

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from d4check import cohomring, linalg, obstruct, rootsys
+from d4check import cohomring, linalg, obstruct, pontsolve, rootsys, vect4
 from d4check.cohomring import CohClass
 from d4check.obstruct import CongruenceCondition, solve_congruence, residues_mod2
 
@@ -108,25 +108,69 @@ def test_erratum_records_present():
     assert {c.id for c in errata} == {"basis-change-erratum", "bundle-classes-erratum"}
 
 
-def test_printed_basis_rows_fail_t_actions(monkeypatch):
+def _printed_basis_rows(monkeypatch):
     # the printed rows for t3 and t4 give actions that are not signed permutations
     printed = linalg.to_matrix(
         [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 2]]
     )
     monkeypatch.setattr(cohomring, "T_OF_OMEGA", printed)
     monkeypatch.setattr(cohomring, "OMEGA_OF_T", linalg.invert(printed))
-    rep = obstruct.theorem_pipeline()
-    assert rep.theorem_status == "FAILED"
-    assert "t-actions" in rep.failed_ids()
-    rec = next(c for c in rep.checks if c.id == "t-actions")
-    assert "not a signed permutation" in rec.detail
 
 
-def test_wrong_root_coordinate_fails_cartan_matrix(monkeypatch):
-    # the Cartan matrix is computed from the roots, not taken from a table
-    coords = list(rootsys._POSITIVE_ROOT_COORDS)
-    coords[8] = (0, 0, 0, 1)  # the ninth root should be (0, 0, 1, 1)
-    monkeypatch.setattr(rootsys, "_POSITIVE_ROOT_COORDS", tuple(coords))
+def _root_coords(index, coords):
+    def plant(monkeypatch):
+        roots = list(rootsys._POSITIVE_ROOT_COORDS)
+        roots[index] = coords
+        monkeypatch.setattr(rootsys, "_POSITIVE_ROOT_COORDS", tuple(roots))
+
+    return plant
+
+
+def _perturbed_omega_of_t(monkeypatch):
+    rows = [row[:] for row in cohomring.OMEGA_OF_T]
+    rows[0][0] += 1
+    monkeypatch.setattr(cohomring, "OMEGA_OF_T", rows)
+
+
+#: fault -> (plant it, the check id that must fail, text that check's detail contains);
+#: every planted fault must end the run FAILED, never in an exception
+PLANTED_FAULTS = {
+    "printed-basis-rows": (_printed_basis_rows, "t-actions", "is not a signed permutation"),
+    # the Cartan matrix is computed from the roots, not taken from a table;
+    # the ninth root should be (0, 0, 1, 1)
+    "ninth-root": (_root_coords(8, (0, 0, 0, 1)), "cartan-matrix", ""),
+    # the first root should be (1, -1, 0, 0); its reflection is no signed permutation
+    "first-root": (
+        _root_coords(0, (2, -1, 0, 0)),
+        "weyl-order",
+        "reflection 1 is not a signed permutation",
+    ),
+    "omega-of-t-entry": (_perturbed_omega_of_t, "basis-roundtrip", ""),
+    # (3, 1, 2) would be an equivalent reduced word and rightly pass
+    "word-table-entry": (
+        lambda mp: mp.setitem(rootsys.WORD_TABLE, 5, (1,)),
+        "word-table",
+        "5: False",
+    ),
+    "gamma-sign": (
+        lambda mp: mp.setattr(vect4, "gamma", lambda: vect4.SphereBundleClass(1, 2)),
+        "generator-pairs",
+        "",
+    ),
+    "sum-zero-dropped": (
+        lambda mp: mp.setattr(pontsolve, "sum_zero_constraint", lambda classes: []),
+        "pontryagin-solver",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+def test_planted_fault_fails_named_check(monkeypatch, fault):
+    plant, check_id, detail = PLANTED_FAULTS[fault]
+    plant(monkeypatch)
     rep = obstruct.theorem_pipeline()
     assert rep.theorem_status == "FAILED"
-    assert "cartan-matrix" in rep.failed_ids()
+    assert check_id in rep.failed_ids()
+    rec = next(c for c in rep.checks if c.id == check_id)
+    assert detail in rec.detail
