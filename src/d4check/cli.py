@@ -8,14 +8,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import pontsolve, report, rootsys
-from .obstruct import (
-    CHECK_IDS,
-    OMITTED_WITHOUT_SYMMETRY,
-    OMITTED_WITHOUT_WINDOW,
-    VerificationReport,
-    theorem_pipeline,
-)
+from . import obstruct, pontsolve, report, rootsys
+from .obstruct import CHECK_IDS, VerificationReport
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_all = sub.add_parser("verify-all", help="run every check and the theorem pipeline")
     add_common(p_all)
 
-    p_one = sub.add_parser("verify", help="run the pipeline, report a single check")
+    p_one = sub.add_parser("verify", help="run a single check, building only what it reads")
     p_one.add_argument("check_id", metavar="CHECK_ID", help=f"one of: {', '.join(CHECK_IDS)}")
     add_common(p_one)
 
@@ -127,29 +121,22 @@ def main(argv=None) -> int:
     if args.command in ("verify-all", "verify"):
         if args.window < 4:
             parser.error(f"--window must be >= 4, got {args.window}")
-        if args.command == "verify":
-            if args.check_id not in CHECK_IDS:
-                parser.error(f"unknown check-id: {args.check_id}")
-            for switch, on, omitted in (
-                ("--no-symmetry-constraint", args.no_symmetry_constraint, OMITTED_WITHOUT_SYMMETRY),
-                ("--skip-window-checks", args.skip_window_checks, OMITTED_WITHOUT_WINDOW),
-            ):
-                if on and args.check_id in omitted:
-                    parser.error(f"{switch} leaves check {args.check_id} out of the run")
-        rep = theorem_pipeline(
-            window=args.window,
-            disable_symmetry=args.no_symmetry_constraint,
-            skip_window=args.skip_window_checks,
-        )
-        if args.command == "verify":
-            rep = VerificationReport(
-                checks=[c for c in rep.checks if c.id == args.check_id],
-                theorem_status=rep.theorem_status,
-            )
-            ok = bool(rep.checks) and rep.all_passed()
-        else:
-            ok = rep.all_passed() and rep.theorem_status in ("OBSTRUCTED", "INCONCLUSIVE")
-        return _emit(rep, args, ok)
+        run = obstruct.Run(args.window, args.no_symmetry_constraint, args.skip_window_checks)
+        if args.command == "verify-all":
+            rep = obstruct.theorem_pipeline(run.window, run.disable_symmetry, run.skip_window)
+            return _emit(rep, args, rep.all_passed() and rep.theorem_status in ("OBSTRUCTED", "INCONCLUSIVE"))
+        if args.check_id not in CHECK_IDS:
+            parser.error(f"unknown check-id: {args.check_id}")
+        for switch, on, omitted in (
+            ("--no-symmetry-constraint", run.disable_symmetry, obstruct.omitted_ids(disable_symmetry=True)),
+            ("--skip-window-checks", run.skip_window, obstruct.omitted_ids(skip_window=True)),
+        ):
+            if on and args.check_id in omitted:
+                parser.error(f"{switch} leaves check {args.check_id} out of the run")
+        rep = obstruct.run_checks([c for c in run.selected() if c.id == args.check_id], run)
+        # an erratum noted after the check is no part of its record
+        rep.checks = [c for c in rep.checks if c.id == args.check_id]
+        return _emit(rep, args, rep.all_passed())
 
     parser.error(f"unknown command: {args.command}")
     return 2

@@ -1,15 +1,17 @@
 """End-to-end verification pipeline for the nonexistence theorem.
 
-Runs every lemma-level check in a fixed order, restricts the distinguished
-bundle to two leaf spheres, turns the realizability conditions into
-congruences in the single integer unknown k, and certifies that their
-residue sets are disjoint.
+Every lemma-level check is declared once, in certificate order, in
+``CHECKS``.  The last checks restrict the distinguished bundle to two leaf
+spheres, turn the realizability conditions into congruences in the single
+integer unknown k, and certify that their residue sets are disjoint.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import cohomring, pontsolve, rootsys, vect4
 from .cohomring import CohClass, HomClass, kronecker
@@ -88,33 +90,311 @@ class VerificationReport:
         return [c.id for c in self.checks if c.status == "fail"]
 
 
-#: Canonical check ids, in pipeline order.
-CHECK_IDS = [
-    "weyl-order",
-    "stabilizer-order",
-    "cartan-matrix",
-    "word-table",
-    "root-orbit",
-    "kronecker-submatrix",
-    "basis-roundtrip",
-    "t-actions",
-    "pairing-duality",
-    "theta-identities",
-    "invariance-suite",
-    "orbit-table",
-    "focal-table",
-    "pontryagin-solver",
-    "bundle-classes",
-    "generator-pairs",
-    "exact-sequence-window",
-    "leaf-restrictions",
-    "congruence-obstruction",
-]
+# ---------------------------------------------------------------------------
+# The check list
 
-#: Checks that ``theorem_pipeline`` leaves out under each diagnostic switch:
-#: without the symmetry constraint the run stops after the solver.
-OMITTED_WITHOUT_SYMMETRY = CHECK_IDS[CHECK_IDS.index("pontryagin-solver") + 1:]
-OMITTED_WITHOUT_WINDOW = ["exact-sequence-window"]
+
+@dataclass
+class Run:
+    """One certificate run: the switches and the objects its checks read.
+
+    Each object is built on first use and kept, so a run builds every object
+    at most once and a single check builds only what it reads.
+    """
+
+    window: int = 20
+    disable_symmetry: bool = False
+    skip_window: bool = False
+
+    @cached_property
+    def rs(self):
+        return rootsys.build_d4(4)
+
+    @cached_property
+    def gens(self):
+        return rootsys.simple_generators(self.rs)
+
+    @cached_property
+    def group(self):
+        return rootsys.enumerate_group(self.gens.values())
+
+    @cached_property
+    def cartan(self):
+        return rootsys.simple_cartan_matrix(self.rs)
+
+    @cached_property
+    def acts(self):
+        return cohomring.t_actions(self.cartan)
+
+    @cached_property
+    def classes(self):
+        return pontsolve.orbit_classes(self.acts, pontsolve.generic_class())
+
+    @cached_property
+    def basis(self):
+        eqs = pontsolve.assemble_constraints(self.classes, include_symmetry=not self.disable_symmetry)
+        return pontsolve.solve(eqs)
+
+    @cached_property
+    def bundle(self) -> tuple[CohClass, CohClass]:
+        """Euler class and Pontryagin class per unit k (Lemma 8)."""
+        return pontsolve.lemma8_classes(self.cartan, self.basis)
+
+    @cached_property
+    def pairs(self):
+        """The bundle's (Euler, Pontryagin per unit k) pairs on the leaf spheres 2 and 9."""
+        euler, p1_unit = self.bundle
+        return tuple((restrict(euler, j), restrict(p1_unit, j)) for j in (2, 9))
+
+    def selected(self) -> list[Check]:
+        """The checks this run's switches keep, in certificate order."""
+        return [c for c in CHECKS if c.when(self)]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One lemma-level fact: ``test`` returns ``(ok, detail)`` or raises ``ValueError``."""
+
+    id: str
+    ref: str
+    statement: str  # may name {window}
+    test: Callable[[Run], tuple[bool, str]]
+    #: (id, ref, statement, detail) of a printed erratum noted right after the check
+    erratum: tuple[str, str, str, str] | None = None
+    when: Callable[[Run], bool] = lambda run: True
+
+
+def _with_symmetry(run: Run) -> bool:
+    # without the symmetry constraint the run stops after the solver
+    return not run.disable_symmetry
+
+
+EXPECTED_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+# the basis conversions are linear, so the four basis classes decide identities in them
+OMEGA_UNITS = [CohClass.of("omega", *(1 if s == k else 0 for s in range(4))) for k in range(4)]
+
+EXPECTED_T_ACTIONS = {
+    1: rootsys.TSignedPerm((1, 0, 2, 3), (1, 1, 1, 1)),
+    2: rootsys.TSignedPerm((0, 2, 1, 3), (1, 1, 1, 1)),
+    3: rootsys.TSignedPerm((0, 1, 3, 2), (1, 1, 1, 1)),
+    9: rootsys.TSignedPerm((0, 1, 3, 2), (1, 1, -1, -1)),
+}
+
+
+def _weyl_order(run):
+    return len(run.group) == 192, f"enumerated {len(run.group)} elements"
+
+
+def _stabilizer_order(run):
+    stab = rootsys.enumerate_group([run.gens[1], run.gens[2], run.gens[3]])
+    b_point = rootsys.RootVector.of(1, 1, 1, 1)
+    fixes = all(w.apply(b_point) == b_point for w in stab)
+    return (
+        len(stab) == 24 and fixes,
+        f"enumerated {len(stab)} elements, all fixing the base point: {fixes}",
+    )
+
+
+def _word_table(run):
+    words = rootsys.verify_word_table(run.rs, run.gens)
+    return all(words.values()), f"per-root results: {words}"
+
+
+def _root_orbit(run):
+    orb = rootsys.orbit(run.group, run.rs.root(1))
+    return len(orb) == 24, f"orbit size {len(orb)}"
+
+
+def _kronecker_submatrix(run):
+    km = cohomring.kronecker_matrix(run.rs)
+    sub = [[km[i - 1][j - 1] for j in SIMPLE_INDICES] for i in SIMPLE_INDICES]
+    return sub == EXPECTED_CARTAN, f"submatrix {sub}"
+
+
+def _basis_roundtrip(run):
+    return all(cohomring.omega_from_t(cohomring.t_from_omega(c)) == c for c in OMEGA_UNITS), ""
+
+
+def _pairing_duality(run):
+    ok = all(
+        kronecker(cohomring.cohomology_action_omega(run.cartan, i, x), h)
+        == kronecker(x, cohomring.homology_action(run.cartan, i, h))
+        for i in SIMPLE_INDICES
+        for x in OMEGA_UNITS
+        for h in map(HomClass.basis, SIMPLE_INDICES)
+    )
+    return ok, ""
+
+
+def _theta_identities(run):
+    thetas = cohomring.verify_theta_identities()
+    return all(thetas.values()), f"{thetas}"
+
+
+def _invariance_suite(run):
+    full_gens = [run.acts[i] for i in SIMPLE_INDICES]
+    stab_gens = [run.acts[i] for i in (1, 2, 3)]
+    e = {i: cohomring.elementary_symmetric(i) for i in range(1, 5)}
+    th = {i: cohomring.theta(i) for i in range(1, 4)}
+    ok = (
+        all(cohomring.is_invariant(th[i], full_gens) for i in range(1, 4))
+        and cohomring.is_invariant(e[4], full_gens)
+        and all(cohomring.is_invariant(e[i], stab_gens) for i in range(1, 5))
+        and not cohomring.is_invariant(e[1], [run.acts[9]])
+    )
+    return ok, ""
+
+
+def _orbit_table(run):
+    tbl = pontsolve.check_orbit_table(run.classes)
+    return all(tbl.values()), f"{tbl}"
+
+
+def _focal_table(run):
+    tbl = pontsolve.check_focal_table(run.classes)
+    fsum = pontsolve.focal_sum_reduced(run.classes)
+    # expected focal sum: -(k + k4) * (t2 + 2*t3 + 3*t4)
+    expected = [(0, 0, 0), (-1, 0, -1), (-2, 0, -2), (-3, 0, -3)]
+    return all(tbl.values()) and fsum == expected, f"classes {tbl}, focal sum {fsum}"
+
+
+def _solution_line(run):
+    pontsolve.solution_line(run.basis)
+    return True, f"nullspace basis {run.basis}"
+
+
+def _bundle_classes(run):
+    euler, p1_unit = run.bundle
+    return (
+        euler.coords == (2, -1, 0, 0) and p1_unit.coords == (0, 2, 0, -2),
+        f"euler {euler.coords}, p1 per unit k {p1_unit.coords}",
+    )
+
+
+def _generator_pairs(run):
+    t, g = vect4.tau(), vect4.gamma()
+    ok = (
+        (t.a, t.b) == (2, 0)
+        and (g.a, g.b) == (1, -2)
+        and vect4.is_realizable(t)
+        and vect4.is_realizable(g)
+        and not vect4.is_realizable(vect4.SphereBundleClass(1, 0))
+    )
+    return ok, ""
+
+
+def _exact_sequence_window(run):
+    seq = vect4.verify_exact_sequence(run.window)
+    return all(seq.values()), f"{seq}"
+
+
+def _leaf_restrictions(run):
+    f1, f2 = run.pairs
+    return f1 == (-1, 2) and f2 == (0, -2), f"pairs per unit k: {f1}, {f2}"
+
+
+def _congruence_obstruction(run):
+    # realizability of (a, b) is 2a - b == 0 (mod 4), with b linear in k
+    conds = [CongruenceCondition(-int(b), 2 * int(a), 4) for a, b in run.pairs]
+    r1, r2 = (solve_congruence(c) for c in conds)
+    inter = sorted(set(r1) & set(r2))
+    ok = residues_mod2(r1, 4) == [1] and residues_mod2(r2, 4) == [0] and inter == []
+    return ok, (
+        f"{conds[0].render()} -> residues {r1} (k odd); "
+        f"{conds[1].render()} -> residues {r2} (k even); intersection {inter}"
+    )
+
+
+#: The certificate, in order; the check ids are written only here.
+CHECKS = (
+    Check("weyl-order", "Remark 1",
+          "the four simple reflections generate a group of order 2^3 * 4! = 192", _weyl_order),
+    Check("stabilizer-order", "(2-3)",
+          "the subgroup fixing (1,1,1,1) is generated by the first three reflections, order 24",
+          _stabilizer_order),
+    Check("cartan-matrix", "(2-1)", "the simple Cartan matrix matches entry for entry",
+          lambda run: (run.cartan == EXPECTED_CARTAN, f"computed {run.cartan}")),
+    Check("word-table", "(2-4)",
+          "all 11 word identities carry the first root to the tabulated roots", _word_table),
+    Check("root-orbit", "(2-4)",
+          "the orbit of the first root under the full group has 24 elements", _root_orbit),
+    Check("kronecker-submatrix", "Lemma 2",
+          "the pairing matrix restricted to simple indices equals the Cartan matrix",
+          _kronecker_submatrix),
+    Check("basis-roundtrip", "(3-1)/(3-2)", "the two basis-change matrices are mutually inverse",
+          _basis_roundtrip,
+          erratum=(
+              "basis-change-erratum", "(3-1)/(3-2)",
+              "the printed basis-change rows for t3 and t4 do not reproduce the tabulated variable actions",
+              "rows 3/4 read as (0,-1,1,1) and (0,0,-1,1); every printed class conversion is unchanged",
+          )),
+    Check("t-actions", "Lemma 4",
+          "the conjugated t-basis actions are the four tabulated signed permutations",
+          lambda run: (run.acts == EXPECTED_T_ACTIONS, f"computed {run.acts}")),
+    Check("pairing-duality", "(3-3)/(3-4)",
+          "the cohomology and homology actions are adjoint under the pairing", _pairing_duality),
+    Check("theta-identities", "Lemma 5 context",
+          "the three expansions of the squared-variable symmetric functions hold", _theta_identities),
+    Check("invariance-suite", "Lemma 5",
+          "the tabulated generators are invariant; the first symmetric function is not fully invariant",
+          _invariance_suite),
+    Check("orbit-table", "(4-2)",
+          "the twelve pushed-around classes match the table after the leaf constraint", _orbit_table),
+    Check("focal-table", "(4-3)",
+          "the six focal classes match the table and their sum factors as -(k+k4)(t2+2t3+3t4)",
+          _focal_table),
+    Check("pontryagin-solver", "Lemma 7",
+          "with the symmetry constraint disabled the solution space is 2-dimensional",
+          lambda run: (len(run.basis) == 2, f"dimension {len(run.basis)}"),
+          when=lambda run: run.disable_symmetry),
+    Check("pontryagin-solver", "Lemma 7",
+          "the full constraint system has solution line spanned by (1, 1, -1, -1)",
+          _solution_line, when=_with_symmetry),
+    Check("bundle-classes", "Lemma 8",
+          "the distinguished bundle has Euler class 2w1 - w2 and Pontryagin class 2k(w2 - w9)",
+          _bundle_classes, when=_with_symmetry,
+          erratum=(
+              "bundle-classes-erratum", "(4-4)",
+              "the printed Pontryagin class names a nonexistent basis symbol w4",
+              "read w4 as w9; the derivation and the basis list both give 2k(w2 - w9)",
+          )),
+    Check("generator-pairs", "Lemma 9 Example",
+          "the tangent and quaternionic classes are (2,0) and (1,-2), both realizable; (1,0) is not",
+          _generator_pairs, when=_with_symmetry),
+    Check("exact-sequence-window", "Lemma 9",
+          "stabilization kernel/image and subgroup structure hold on the window |a|,|b| <= {window}",
+          _exact_sequence_window, when=lambda run: _with_symmetry(run) and not run.skip_window),
+    Check("leaf-restrictions", "Theorem proof",
+          "restriction to the two leaf spheres gives the pairs (-1, 2k) and (0, -2k)",
+          _leaf_restrictions, when=_with_symmetry),
+    Check("congruence-obstruction", "Theorem proof",
+          "the two realizability congruences force k odd and k even; no integer satisfies both",
+          _congruence_obstruction, when=_with_symmetry),
+)
+
+#: Canonical check ids, in certificate order.
+CHECK_IDS = list(dict.fromkeys(c.id for c in CHECKS))
+
+
+def omitted_ids(**switches) -> list[str]:
+    """The check ids a run with these switches leaves out."""
+    kept = {c.id for c in Run(**switches).selected()}
+    return [i for i in CHECK_IDS if i not in kept]
+
+
+def run_checks(checks: list[Check], run: Run) -> VerificationReport:
+    """Record each check in order; a ``ValueError`` it raises makes it fail."""
+    rep = VerificationReport()
+    for c in checks:
+        try:
+            ok, detail = c.test(run)
+        except ValueError as exc:
+            ok, detail = False, str(exc)
+        rep.add(c.id, c.ref, c.statement.format(window=run.window), ok, detail)
+        if c.erratum:
+            rep.note_erratum(*c.erratum)
+    return rep
 
 
 def theorem_pipeline(
@@ -129,304 +409,10 @@ def theorem_pipeline(
     the run is INCONCLUSIVE); ``skip_window`` omits the finite-window bundle
     checks, which are independent of the congruence logic.
     """
-    rep = VerificationReport()
-    rs = rootsys.build_d4(4)
-
-    # Root system and group structure
-    try:
-        gens = rootsys.simple_generators(rs)
-        group = rootsys.enumerate_group(gens.values())
-        order_ok, order_detail = len(group) == 192, f"enumerated {len(group)} elements"
-    except ValueError as exc:
-        gens, order_ok, order_detail = None, False, str(exc)
-    rep.add(
-        "weyl-order",
-        "Remark 1",
-        "the four simple reflections generate a group of order 2^3 * 4! = 192",
-        order_ok,
-        order_detail,
-    )
-    if gens is None:
-        # the group checks below read the generators and the group
-        rep.theorem_status = "FAILED"
-        return rep
-    stab = rootsys.enumerate_group([gens[1], gens[2], gens[3]])
-    b_point = rootsys.RootVector.of(1, 1, 1, 1)
-    stab_fixes = all(w.apply(b_point) == b_point for w in stab)
-    rep.add(
-        "stabilizer-order",
-        "(2-3)",
-        "the subgroup fixing (1,1,1,1) is generated by the first three reflections, order 24",
-        len(stab) == 24 and stab_fixes,
-        f"enumerated {len(stab)} elements, all fixing the base point: {stab_fixes}",
-    )
-
-    expected_cartan = [
-        [2, -1, 0, 0],
-        [-1, 2, -1, -1],
-        [0, -1, 2, 0],
-        [0, -1, 0, 2],
-    ]
-    cartan = rootsys.simple_cartan_matrix(rs)
-    rep.add(
-        "cartan-matrix",
-        "(2-1)",
-        "the simple Cartan matrix matches entry for entry",
-        cartan == expected_cartan,
-        f"computed {cartan}",
-    )
-
-    words = rootsys.verify_word_table(rs, gens)
-    rep.add(
-        "word-table",
-        "(2-4)",
-        "all 11 word identities carry the first root to the tabulated roots",
-        all(words.values()),
-        f"per-root results: {words}",
-    )
-
-    orb = rootsys.orbit(group, rs.root(1))
-    rep.add(
-        "root-orbit",
-        "(2-4)",
-        "the orbit of the first root under the full group has 24 elements",
-        len(orb) == 24,
-        f"orbit size {len(orb)}",
-    )
-
-    # Cohomology calculus
-    km = cohomring.kronecker_matrix(rs)
-    sub = [[km[i - 1][j - 1] for j in SIMPLE_INDICES] for i in SIMPLE_INDICES]
-    rep.add(
-        "kronecker-submatrix",
-        "Lemma 2",
-        "the pairing matrix restricted to simple indices equals the Cartan matrix",
-        sub == expected_cartan,
-        f"submatrix {sub}",
-    )
-
-    # the conversions are linear, so the four basis classes decide the identity
-    omega_units = [
-        CohClass.of("omega", *(1 if s == k else 0 for s in range(4))) for k in range(4)
-    ]
-    roundtrip_ok = all(
-        cohomring.omega_from_t(cohomring.t_from_omega(c)) == c for c in omega_units
-    )
-    rep.add(
-        "basis-roundtrip",
-        "(3-1)/(3-2)",
-        "the two basis-change matrices are mutually inverse",
-        roundtrip_ok,
-    )
-    rep.note_erratum(
-        "basis-change-erratum",
-        "(3-1)/(3-2)",
-        "the printed basis-change rows for t3 and t4 do not reproduce the tabulated variable actions",
-        "rows 3/4 read as (0,-1,1,1) and (0,0,-1,1); every printed class conversion is unchanged",
-    )
-
-    expected_t = {
-        1: rootsys.TSignedPerm((1, 0, 2, 3), (1, 1, 1, 1)),
-        2: rootsys.TSignedPerm((0, 2, 1, 3), (1, 1, 1, 1)),
-        3: rootsys.TSignedPerm((0, 1, 3, 2), (1, 1, 1, 1)),
-        9: rootsys.TSignedPerm((0, 1, 3, 2), (1, 1, -1, -1)),
-    }
-    try:
-        acts = cohomring.t_actions(cartan)
-        acts_ok, acts_detail = acts == expected_t, f"computed {acts}"
-    except ValueError as exc:
-        acts, acts_ok, acts_detail = None, False, str(exc)
-    rep.add(
-        "t-actions",
-        "Lemma 4",
-        "the conjugated t-basis actions are the four tabulated signed permutations",
-        acts_ok,
-        acts_detail,
-    )
-    if acts is None:
-        # every later check reads the t-actions
-        rep.theorem_status = "FAILED"
-        return rep
-
-    duality_ok = True
-    for i in SIMPLE_INDICES:
-        for x in omega_units:
-            for h_idx in SIMPLE_INDICES:
-                h = HomClass.basis(h_idx)
-                lhs = kronecker(cohomring.cohomology_action_omega(cartan, i, x), h)
-                rhs = kronecker(x, cohomring.homology_action(cartan, i, h))
-                duality_ok = duality_ok and lhs == rhs
-    rep.add(
-        "pairing-duality",
-        "(3-3)/(3-4)",
-        "the cohomology and homology actions are adjoint under the pairing",
-        duality_ok,
-    )
-
-    thetas = cohomring.verify_theta_identities()
-    rep.add(
-        "theta-identities",
-        "Lemma 5 context",
-        "the three expansions of the squared-variable symmetric functions hold",
-        all(thetas.values()),
-        f"{thetas}",
-    )
-
-    full_gens = [acts[i] for i in SIMPLE_INDICES]
-    stab_gens = [acts[i] for i in (1, 2, 3)]
-    e = {i: cohomring.elementary_symmetric(i) for i in range(1, 5)}
-    th = {i: cohomring.theta(i) for i in range(1, 4)}
-    inv_ok = (
-        all(cohomring.is_invariant(th[i], full_gens) for i in range(1, 4))
-        and cohomring.is_invariant(e[4], full_gens)
-        and all(cohomring.is_invariant(e[i], stab_gens) for i in range(1, 5))
-        and not cohomring.is_invariant(e[1], [acts[9]])
-    )
-    rep.add(
-        "invariance-suite",
-        "Lemma 5",
-        "the tabulated generators are invariant; the first symmetric function is not fully invariant",
-        inv_ok,
-    )
-
-    # Pontryagin constraint solve
-    classes = pontsolve.orbit_classes(acts, pontsolve.generic_class())
-    tbl42 = pontsolve.check_orbit_table(classes)
-    rep.add(
-        "orbit-table",
-        "(4-2)",
-        "the twelve pushed-around classes match the table after the leaf constraint",
-        all(tbl42.values()),
-        f"{tbl42}",
-    )
-    tbl43 = pontsolve.check_focal_table(classes)
-    fsum = pontsolve.focal_sum_reduced(classes)
-    # expected focal sum: -(k + k4) * (t2 + 2*t3 + 3*t4)
-    expected_fsum = [
-        (Fraction(0), Fraction(0), Fraction(0)),
-        (Fraction(-1), Fraction(0), Fraction(-1)),
-        (Fraction(-2), Fraction(0), Fraction(-2)),
-        (Fraction(-3), Fraction(0), Fraction(-3)),
-    ]
-    rep.add(
-        "focal-table",
-        "(4-3)",
-        "the six focal classes match the table and their sum factors as -(k+k4)(t2+2t3+3t4)",
-        all(tbl43.values()) and fsum == expected_fsum,
-        f"classes {tbl43}, focal sum {fsum}",
-    )
-
-    eqs = pontsolve.assemble_constraints(classes, include_symmetry=not disable_symmetry)
-    basis = pontsolve.solve(eqs)
-    if disable_symmetry:
-        rep.add(
-            "pontryagin-solver",
-            "Lemma 7",
-            "with the symmetry constraint disabled the solution space is 2-dimensional",
-            len(basis) == 2,
-            f"dimension {len(basis)}",
-        )
-        rep.theorem_status = "INCONCLUSIVE"
-        return rep
-
-    solver_ok = len(basis) == 1
-    if solver_ok:
-        v = basis[0]
-        scale = Fraction(1) / v[0] if v[0] != 0 else Fraction(1)
-        solver_ok = [x * scale for x in v] == [
-            Fraction(1),
-            Fraction(1),
-            Fraction(-1),
-            Fraction(-1),
-        ]
-    rep.add(
-        "pontryagin-solver",
-        "Lemma 7",
-        "the full constraint system has solution line spanned by (1, 1, -1, -1)",
-        solver_ok,
-        f"nullspace basis {basis}",
-    )
-
+    run = Run(window, disable_symmetry, skip_window)
+    rep = run_checks(run.selected(), run)
     if not rep.all_passed():
         rep.theorem_status = "FAILED"
-        return rep
-
-    euler, p1_unit = pontsolve.lemma8_classes(cartan, basis)
-    classes_ok = euler.coords == (2, -1, 0, 0) and p1_unit.coords == (0, 2, 0, -2)
-    rep.add(
-        "bundle-classes",
-        "Lemma 8",
-        "the distinguished bundle has Euler class 2w1 - w2 and Pontryagin class 2k(w2 - w9)",
-        classes_ok,
-        f"euler {euler.coords}, p1 per unit k {p1_unit.coords}",
-    )
-    rep.note_erratum(
-        "bundle-classes-erratum",
-        "(4-4)",
-        "the printed Pontryagin class names a nonexistent basis symbol w4",
-        "read w4 as w9; the derivation and the basis list both give 2k(w2 - w9)",
-    )
-
-    # Bundle arithmetic over the 4-sphere
-    t, g = vect4.tau(), vect4.gamma()
-    gen_ok = (
-        (t.a, t.b) == (2, 0)
-        and (g.a, g.b) == (1, -2)
-        and vect4.is_realizable(t)
-        and vect4.is_realizable(g)
-        and not vect4.is_realizable(vect4.SphereBundleClass(1, 0))
-    )
-    rep.add(
-        "generator-pairs",
-        "Lemma 9 Example",
-        "the tangent and quaternionic classes are (2,0) and (1,-2), both realizable; (1,0) is not",
-        gen_ok,
-    )
-
-    if not skip_window:
-        seq = vect4.verify_exact_sequence(window)
-        rep.add(
-            "exact-sequence-window",
-            "Lemma 9",
-            f"stabilization kernel/image and subgroup structure hold on the window |a|,|b| <= {window}",
-            all(seq.values()),
-            f"{seq}",
-        )
-
-    # Theorem: restrictions and congruences
-    f1 = (restrict(euler, 2), restrict(p1_unit, 2))  # per unit k in second slot
-    f2 = (restrict(euler, 9), restrict(p1_unit, 9))
-    restr_ok = f1 == (-1, 2) and f2 == (0, -2)
-    rep.add(
-        "leaf-restrictions",
-        "Theorem proof",
-        "restriction to the two leaf spheres gives the pairs (-1, 2k) and (0, -2k)",
-        restr_ok,
-        f"pairs per unit k: {f1}, {f2}",
-    )
-
-    # realizability: 2a - b == 0 mod 4 with b linear in k
-    cong1 = CongruenceCondition(-int(f1[1]), 2 * int(f1[0]), 4)  # 2(-1) - 2k == 0 (mod 4)
-    cong2 = CongruenceCondition(-int(f2[1]), 2 * int(f2[0]), 4)
-    r1 = solve_congruence(cong1)
-    r2 = solve_congruence(cong2)
-    m1 = residues_mod2(r1, 4)
-    m2 = residues_mod2(r2, 4)
-    inter = sorted(set(r1) & set(r2))
-    obstruction_ok = m1 == [1] and m2 == [0] and inter == []
-    rep.add(
-        "congruence-obstruction",
-        "Theorem proof",
-        "the two realizability congruences force k odd and k even; no integer satisfies both",
-        obstruction_ok,
-        f"{cong1.render()} -> residues {r1} (k odd); "
-        f"{cong2.render()} -> residues {r2} (k even); intersection {inter}",
-    )
-
-    if not rep.all_passed():
-        rep.theorem_status = "FAILED"
-    elif inter:
-        rep.theorem_status = "NOT-OBSTRUCTED"
     else:
-        rep.theorem_status = "OBSTRUCTED"
+        rep.theorem_status = "INCONCLUSIVE" if disable_symmetry else "OBSTRUCTED"
     return rep

@@ -242,6 +242,20 @@ def focal_sum_reduced(classes: dict[int, SymbolicClass]) -> list[tuple[Fraction,
 # Final classes of the distinguished 4-plane bundle.
 
 
+def solution_line(basis: list[list[Fraction]]) -> list[Fraction]:
+    """The solved line scaled to lead coordinate 1.
+
+    Raises ``ValueError`` unless ``basis`` spans the line (1, 1, -1, -1).
+    """
+    if len(basis) != 1:
+        raise ValueError(f"solution space has dimension {len(basis)}, expected 1")
+    v = basis[0]
+    line = [x / v[0] for x in v] if v[0] else v
+    if line != [1, 1, -1, -1]:
+        raise ValueError(f"unexpected solution line: {v}")
+    return line
+
+
 def lemma8_classes(
     cartan: CartanMatrix, basis: list[list[Fraction]]
 ) -> tuple[CohClass, CohClass]:
@@ -253,14 +267,5 @@ def lemma8_classes(
     for this conversion has a typo (a nonexistent basis symbol); the
     derivation fixes the last basis vector.
     """
-    if len(basis) != 1:
-        raise ValueError(f"solution space has dimension {len(basis)}, expected 1")
-    v = basis[0]
-    # normalize so the span is reported as (1, 1, -1, -1)
-    scale = Fraction(1) / v[0]
-    v = [x * scale for x in v]
-    if v != [Fraction(1), Fraction(1), Fraction(-1), Fraction(-1)]:
-        raise ValueError(f"unexpected solution line: {v}")
-    euler = euler_class_d(cartan, 1)
-    p1_unit = omega_from_t(CohClass("t", tuple(v)))
-    return euler, p1_unit
+    line = solution_line(basis)
+    return euler_class_d(cartan, 1), omega_from_t(CohClass("t", tuple(line)))

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from d4check import pontsolve, report, vect4
 from d4check.cli import main
+from d4check.obstruct import CHECK_IDS, theorem_pipeline
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +47,46 @@ def test_verify_single_check(capsys):
     code, out = run_cli(capsys, "verify", "weyl-order")
     assert code == 0
     assert "weyl-order" in out
+    assert "1 checks: 1 passed" in out
+
+
+@pytest.fixture(scope="module")
+def full_report():
+    rep = theorem_pipeline()
+    return {fmt: report.render(rep, fmt) for fmt in ("text", "json")}
+
+
+def _text_record(out, check_id):
+    """The lines of one check's record in a text report."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"[ok  ] {check_id} ("))
+    end = start + 1
+    while lines[end].startswith("       "):
+        end += 1
+    return lines[start:end]
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_verify_id_record_matches_verify_all(capsys, full_report, check_id):
+    code, out = run_cli(capsys, "verify", check_id)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2:-3] == _text_record(full_report["text"], check_id)
+    assert lines[-1] == "theorem status: NOT-RUN"
+    code, out = run_cli(capsys, "verify", check_id, "--format", "json")
+    assert code == 0
+    full = json.loads(full_report["json"])["checks"]
+    assert json.loads(out)["checks"] == [c for c in full if c["id"] == check_id]
+
+
+def test_verify_builds_only_what_its_check_reads(capsys, monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("not read by cartan-matrix")
+
+    monkeypatch.setattr(pontsolve, "solve", unexpected)
+    monkeypatch.setattr(vect4, "verify_exact_sequence", unexpected)
+    code, out = run_cli(capsys, "verify", "cartan-matrix")
+    assert code == 0
     assert "1 checks: 1 passed" in out
 
 

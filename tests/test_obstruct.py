@@ -84,14 +84,20 @@ def test_pipeline_without_symmetry_is_inconclusive():
     assert solver.status == "pass"
     assert "dimension 2" in solver.detail
     ran = {c.id for c in rep.checks}
-    assert [i for i in obstruct.CHECK_IDS if i not in ran] == obstruct.OMITTED_WITHOUT_SYMMETRY
+    assert [i for i in obstruct.CHECK_IDS if i not in ran] == [
+        "bundle-classes",
+        "generator-pairs",
+        "exact-sequence-window",
+        "leaf-restrictions",
+        "congruence-obstruction",
+    ]
 
 
 def test_pipeline_skip_window_keeps_theorem():
     rep = obstruct.theorem_pipeline(skip_window=True)
     assert rep.theorem_status == "OBSTRUCTED"
     ran = {c.id for c in rep.checks}
-    assert [i for i in obstruct.CHECK_IDS if i not in ran] == obstruct.OMITTED_WITHOUT_WINDOW
+    assert [i for i in obstruct.CHECK_IDS if i not in ran] == ["exact-sequence-window"]
 
 
 def test_pipeline_is_deterministic():
@@ -162,6 +168,12 @@ PLANTED_FAULTS = {
         "pontryagin-solver",
         "",
     ),
+    # a line with lead coordinate 0 cannot be scaled to (1, 1, -1, -1)
+    "solution-lead-zero": (
+        lambda mp: mp.setattr(pontsolve, "solve", lambda eqs: [[Fraction(n) for n in (0, 1, -1, -1)]]),
+        "pontryagin-solver",
+        "unexpected solution line",
+    ),
 }
 
 
@@ -174,3 +186,19 @@ def test_planted_fault_fails_named_check(monkeypatch, fault):
     assert check_id in rep.failed_ids()
     rec = next(c for c in rep.checks if c.id == check_id)
     assert detail in rec.detail
+
+
+@pytest.mark.parametrize(
+    "fault",
+    sorted(
+        f for f, (_, check_id, _) in PLANTED_FAULTS.items()
+        if obstruct.CHECK_IDS.index(check_id) < obstruct.CHECK_IDS.index("pontryagin-solver")
+    ),
+)
+def test_planted_fault_fails_without_symmetry(monkeypatch, fault):
+    # a failed check ends the run FAILED, not INCONCLUSIVE, under the diagnostic switch too
+    plant, check_id, _ = PLANTED_FAULTS[fault]
+    plant(monkeypatch)
+    rep = obstruct.theorem_pipeline(disable_symmetry=True)
+    assert rep.theorem_status == "FAILED"
+    assert check_id in rep.failed_ids()
