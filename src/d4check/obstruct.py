@@ -31,7 +31,8 @@ class CongruenceCondition:
             raise ValueError(f"modulus must be positive: {self.modulus}")
 
     def render(self) -> str:
-        return f"{self.coeff}k + {self.const} == 0 (mod {self.modulus})"
+        const = f" {'-' if self.const < 0 else '+'} {abs(self.const)}" if self.const else ""
+        return f"{self.coeff}k{const} == 0 (mod {self.modulus})"
 
 
 def solve_congruence(c: CongruenceCondition) -> list[int]:
@@ -48,6 +49,14 @@ def residues_mod2(residues: list[int], modulus: int) -> list[int] | None:
     as_mod2 = {r % 2 for r in residues}
     expanded = [r for r in range(modulus) if r % 2 in as_mod2]
     return sorted(as_mod2) if expanded == sorted(residues) else None
+
+
+def _exact(x) -> str:
+    """Nested tuples and lists of rationals, each rational as an integer or p/q."""
+    if isinstance(x, (tuple, list)):
+        inner = ", ".join(map(_exact, x))
+        return f"({inner})" if isinstance(x, tuple) else f"[{inner}]"
+    return str(x)
 
 
 def restrict(c: CohClass, j: int) -> Fraction:
@@ -256,19 +265,19 @@ def _focal_table(run):
     fsum = pontsolve.focal_sum_reduced(run.classes)
     # expected focal sum: -(k + k4) * (t2 + 2*t3 + 3*t4)
     expected = [(0, 0, 0), (-1, 0, -1), (-2, 0, -2), (-3, 0, -3)]
-    return all(tbl.values()) and fsum == expected, f"classes {tbl}, focal sum {fsum}"
+    return all(tbl.values()) and fsum == expected, f"classes {tbl}, focal sum {_exact(fsum)}"
 
 
 def _solution_line(run):
     pontsolve.solution_line(run.basis)
-    return True, f"nullspace basis {run.basis}"
+    return True, f"nullspace basis {_exact(run.basis)}"
 
 
 def _bundle_classes(run):
     euler, p1_unit = run.bundle
     return (
         euler.coords == (2, -1, 0, 0) and p1_unit.coords == (0, 2, 0, -2),
-        f"euler {euler.coords}, p1 per unit k {p1_unit.coords}",
+        f"euler {_exact(euler.coords)}, p1 per unit k {_exact(p1_unit.coords)}",
     )
 
 
@@ -291,7 +300,7 @@ def _exact_sequence_window(run):
 
 def _leaf_restrictions(run):
     f1, f2 = run.pairs
-    return f1 == (-1, 2) and f2 == (0, -2), f"pairs per unit k: {f1}, {f2}"
+    return f1 == (-1, 2) and f2 == (0, -2), f"pairs per unit k: {_exact(f1)}, {_exact(f2)}"
 
 
 def _congruence_obstruction(run):

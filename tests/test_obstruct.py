@@ -42,6 +42,16 @@ def test_congruence_requires_positive_modulus():
         CongruenceCondition(1, 0, 0)
 
 
+def test_congruence_render_signs():
+    assert CongruenceCondition(-2, -2, 4).render() == "-2k - 2 == 0 (mod 4)"
+    assert CongruenceCondition(2, 0, 4).render() == "2k == 0 (mod 4)"
+    assert CongruenceCondition(2, 3, 4).render() == "2k + 3 == 0 (mod 4)"
+
+
+def test_details_render_exact_rationals():
+    assert obstruct._exact([(Fraction(1, 2), Fraction(-3))]) == "[(1/2, -3)]"
+
+
 def test_residues_mod2():
     assert residues_mod2([1, 3], 4) == [1]
     assert residues_mod2([0, 2], 4) == [0]
