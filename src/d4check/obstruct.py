@@ -268,7 +268,7 @@ def _focal_table(run):
     return all(tbl.values()) and fsum == expected, f"classes {tbl}, focal sum {_exact(fsum)}"
 
 
-def _solution_line(run):
+def _pontryagin_solver(run):
     pontsolve.solution_line(run.basis)
     return True, f"nullspace basis {_exact(run.basis)}"
 
@@ -359,7 +359,7 @@ CHECKS = (
           when=lambda run: run.disable_symmetry),
     Check("pontryagin-solver", "Lemma 7",
           "the full constraint system has solution line spanned by (1, 1, -1, -1)",
-          _solution_line, when=_with_symmetry),
+          _pontryagin_solver, when=_with_symmetry),
     Check("bundle-classes", "Lemma 8",
           "the distinguished bundle has Euler class 2w1 - w2 and Pontryagin class 2k(w2 - w9)",
           _bundle_classes, when=_with_symmetry,
