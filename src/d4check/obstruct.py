@@ -2,8 +2,8 @@
 
 Every lemma-level check is declared once, in certificate order, in
 ``CHECKS``.  The last checks restrict the distinguished bundle to two leaf
-spheres, turn the realizability conditions into congruences in the single
-integer unknown k, and certify that their residue sets are disjoint.
+spheres, read the realizability congruences in the single integer unknown k
+off ``vect4``, and certify that their residue sets are disjoint.
 """
 
 from __future__ import annotations
@@ -11,44 +11,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from . import cohomring, pontsolve, rootsys, vect4
 from .cohomring import CohClass, HomClass, kronecker
 from .rootsys import SIMPLE_INDICES
-
-
-@dataclass(frozen=True)
-class CongruenceCondition:
-    """c*k + d = 0 (mod modulus)."""
-
-    coeff: int
-    const: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus <= 0:
-            raise ValueError(f"modulus must be positive: {self.modulus}")
-
-    def render(self) -> str:
-        const = f" {'-' if self.const < 0 else '+'} {abs(self.const)}" if self.const else ""
-        return f"{self.coeff}k{const} == 0 (mod {self.modulus})"
-
-
-def solve_congruence(c: CongruenceCondition) -> list[int]:
-    """All residues r in [0, modulus) satisfying the condition."""
-    return [
-        r for r in range(c.modulus) if (c.coeff * r + c.const) % c.modulus == 0
-    ]
-
-
-def residues_mod2(residues: list[int], modulus: int) -> list[int] | None:
-    """Collapse a residue set mod ``modulus`` to one mod 2, if it is one."""
-    if modulus % 2 != 0:
-        return None
-    as_mod2 = {r % 2 for r in residues}
-    expanded = [r for r in range(modulus) if r % 2 in as_mod2]
-    return sorted(as_mod2) if expanded == sorted(residues) else None
 
 
 def _exact(x) -> str:
@@ -103,53 +69,81 @@ class VerificationReport:
 # The check list
 
 
+class _Unbuilt(ValueError):
+    """A derived object of a run could not be built; the message names it."""
+
+
+class _derived:
+    """Like ``functools.cached_property``, but keeps a ``ValueError`` as well as a value.
+
+    Every later read of an object that failed raises ``_Unbuilt`` naming it; an
+    object built from it passes that error on unchanged.
+    """
+
+    def __init__(self, build):
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, run, owner=None):
+        key = "_" + self.name
+        if key not in vars(run):
+            try:
+                vars(run)[key] = self.build(run), None
+            except ValueError as exc:
+                vars(run)[key] = None, str(exc) if isinstance(exc, _Unbuilt) else f"{self.name}: {exc}"
+        value, error = vars(run)[key]
+        if error is not None:
+            raise _Unbuilt(error)
+        return value
+
+
 @dataclass
 class Run:
     """One certificate run: the switches and the objects its checks read.
 
-    Each object is built on first use and kept, so a run builds every object
-    at most once and a single check builds only what it reads.
+    Each object is built on first use and kept, value or error, so a run
+    builds every object at most once and a single check builds only what it
+    reads.
     """
 
     window: int = 20
     disable_symmetry: bool = False
     skip_window: bool = False
 
-    @cached_property
+    @_derived
     def rs(self):
         return rootsys.build_d4(4)
 
-    @cached_property
+    @_derived
     def gens(self):
         return rootsys.simple_generators(self.rs)
 
-    @cached_property
+    @_derived
     def group(self):
         return rootsys.enumerate_group(self.gens.values())
 
-    @cached_property
+    @_derived
     def cartan(self):
         return rootsys.simple_cartan_matrix(self.rs)
 
-    @cached_property
+    @_derived
     def acts(self):
         return cohomring.t_actions(self.cartan)
 
-    @cached_property
+    @_derived
     def classes(self):
         return pontsolve.orbit_classes(self.acts, pontsolve.generic_class())
 
-    @cached_property
+    @_derived
     def basis(self):
         eqs = pontsolve.assemble_constraints(self.classes, include_symmetry=not self.disable_symmetry)
         return pontsolve.solve(eqs)
 
-    @cached_property
+    @_derived
     def bundle(self) -> tuple[CohClass, CohClass]:
         """Euler class and Pontryagin class per unit k (Lemma 8)."""
         return pontsolve.lemma8_classes(self.cartan, self.basis)
 
-    @cached_property
+    @_derived
     def pairs(self):
         """The bundle's (Euler, Pontryagin per unit k) pairs on the leaf spheres 2 and 9."""
         euler, p1_unit = self.bundle
@@ -304,15 +298,10 @@ def _leaf_restrictions(run):
 
 
 def _congruence_obstruction(run):
-    # realizability of (a, b) is 2a - b == 0 (mod 4), with b linear in k
-    conds = [CongruenceCondition(-int(b), 2 * int(a), 4) for a, b in run.pairs]
-    r1, r2 = (solve_congruence(c) for c in conds)
+    (c1, r1), (c2, r2) = (vect4.leaf_congruence(int(a), int(b)) for a, b in run.pairs)
     inter = sorted(set(r1) & set(r2))
-    ok = residues_mod2(r1, 4) == [1] and residues_mod2(r2, 4) == [0] and inter == []
-    return ok, (
-        f"{conds[0].render()} -> residues {r1} (k odd); "
-        f"{conds[1].render()} -> residues {r2} (k even); intersection {inter}"
-    )
+    ok = r1 == [1, 3] and r2 == [0, 2] and inter == []
+    return ok, f"{c1} -> residues {r1} (k odd); {c2} -> residues {r2} (k even); intersection {inter}"
 
 
 #: The certificate, in order; the check ids are written only here.

@@ -1,8 +1,9 @@
-"""Arithmetic model of rank-4 and rank-5 bundles over the 4-sphere.
+"""Arithmetic model of rank-4 and rank-5 bundles over the 4-sphere (Lemma 9).
 
 A rank-4 bundle is identified with the integer pair (a, b) of its Euler and
 first Pontryagin numbers; the realizable pairs are exactly those with
-2a - b divisible by 4.  Stabilization forgets the Euler number.
+2a - b divisible by 4, which is decided only by ``is_realizable``.  They form
+the lattice spanned by tau and gamma.  Stabilization forgets the Euler number.
 """
 
 from __future__ import annotations
@@ -16,15 +17,6 @@ class SphereBundleClass:
     b: int  # first Pontryagin number
 
 
-@dataclass(frozen=True)
-class StableBundleClass:
-    p1: int
-
-    def __post_init__(self):
-        if self.p1 % 2 != 0:
-            raise ValueError(f"stable class must have even Pontryagin number: {self.p1}")
-
-
 def tau() -> SphereBundleClass:
     """The tangent bundle of the 4-sphere."""
     return SphereBundleClass(2, 0)
@@ -35,104 +27,71 @@ def gamma() -> SphereBundleClass:
     return SphereBundleClass(1, -2)
 
 
-def zero() -> SphereBundleClass:
-    return SphereBundleClass(0, 0)
-
-
-def add(x: SphereBundleClass, y: SphereBundleClass) -> SphereBundleClass:
-    return SphereBundleClass(x.a + y.a, x.b + y.b)
-
-
-def neg(x: SphereBundleClass) -> SphereBundleClass:
-    return SphereBundleClass(-x.a, -x.b)
-
-
-def scalar(n: int, x: SphereBundleClass) -> SphereBundleClass:
-    return SphereBundleClass(n * x.a, n * x.b)
-
-
-def g_mod4(x: SphereBundleClass) -> int:
-    return (2 * x.a - x.b) % 4
-
-
 def is_realizable(x: SphereBundleClass) -> bool:
     """A pair is a genuine rank-4 bundle iff 2a - b vanishes mod 4."""
-    return g_mod4(x) == 0
+    return (2 * x.a - x.b) % 4 == 0
+
+
+def leaf_congruence(a: int, b: int) -> tuple[str, list[int]]:
+    """The realizability congruence of the pairs (a, k*b), and its residues k mod 4.
+
+    The condition is linear in k and read mod 4, so the residues decide it for
+    every integer k.
+    """
+    const = f" {'-' if a < 0 else '+'} {abs(2 * a)}" if a else ""
+    residues = [k for k in range(4) if is_realizable(SphereBundleClass(a, k * b))]
+    return f"{-b}k{const} == 0 (mod 4)", residues
 
 
 def decompose(x: SphereBundleClass) -> tuple[int, int]:
-    """Write a realizable class as an integer combination of tau and gamma."""
-    if not is_realizable(x):
-        raise ValueError(f"class {x} is not realizable")
-    n_gamma, rem_g = divmod(-x.b, 2)
-    n_tau, rem_t = divmod(2 * x.a + x.b, 4)
-    if rem_g or rem_t:
-        raise ValueError(f"class {x} has no integral decomposition")
-    return n_tau, n_gamma
+    """Solve x = n*tau + m*gamma for integers (n, m); raise if x is off that lattice."""
+    m, rem_b = divmod(-x.b, 2)
+    n, rem_a = divmod(x.a - m, 2)
+    if rem_b or rem_a:
+        raise ValueError(f"class {x} is not an integer combination of tau and gamma")
+    return n, m
 
 
 def compose(n_tau: int, n_gamma: int) -> SphereBundleClass:
-    return add(scalar(n_tau, tau()), scalar(n_gamma, gamma()))
+    """The class n_tau*tau + n_gamma*gamma = (2*n_tau + n_gamma, -2*n_gamma); ``decompose`` inverts it."""
+    return SphereBundleClass(2 * n_tau + n_gamma, -2 * n_gamma)
 
 
-def stabilize(x: SphereBundleClass) -> StableBundleClass:
+def stabilize(x: SphereBundleClass) -> int:
     """Add a trivial line: only the Pontryagin number survives."""
-    if not is_realizable(x):
-        raise ValueError(f"class {x} is not realizable")
-    return StableBundleClass(x.b)
+    return x.b
 
 
 def verify_exact_sequence(window: int = 20) -> dict[str, bool]:
-    """Window checks of the stabilization sequence over |a|, |b| <= window.
+    """Lemma 9 on the box |a|, |b| <= window, compared with the tau/gamma lattice.
 
-    The kernel of stabilization must be the multiples of the tangent class,
-    its image must be exactly the even integers, and the realizable pairs
-    must form a subgroup of index 4.
+    Every lattice point n*tau + m*gamma of the box is realizable and
+    round-trips through ``decompose``, and the box holds as many realizable
+    pairs as lattice points, so its realizable pairs are exactly its lattice
+    points.  Walking that lattice, the kernel of stabilization must be the
+    multiples of tau and its image the even integers of the box.
     """
-    realizable = [
-        SphereBundleClass(a, b)
-        for a in range(-window, window + 1)
-        for b in range(-window, window + 1)
-        if is_realizable(SphereBundleClass(a, b))
-    ]
-
-    kernel = {x for x in realizable if stabilize(x).p1 == 0}
-    tau_multiples = {
-        scalar(n, tau()) for n in range(-window, window + 1)
-    }
-    kernel_ok = kernel == {x for x in tau_multiples if abs(x.a) <= window}
-
-    image = {stabilize(x).p1 for x in realizable}
-    image_ok = image == set(range(-window, window + 1, 2)) if window % 2 == 0 else all(
-        p % 2 == 0 for p in image
-    )
-
-    closure_ok = all(
-        is_realizable(add(x, y)) and is_realizable(neg(x))
-        for x in realizable[:40]
-        for y in realizable[:40]
-    )
-
-    index_ok = (
-        sum(
-            1
-            for a in range(4)
-            for b in range(4)
-            if is_realizable(SphereBundleClass(a, b))
-        )
-        == 4
-    )
-
-    roundtrip_ok = all(
-        decompose(compose(n, m)) == (n, m)
-        for n in range(-10, 11)
-        for m in range(-10, 11)
-    )
-
+    half = window // 2
+    points = realizable = roundtrips = 0
+    kernel, image = [], set()
+    for m in range(-half, half + 1):
+        # a = 2n + m must stay in the box
+        for n in range(-((window + m) // 2), (window - m) // 2 + 1):
+            x = compose(n, m)
+            points += 1
+            realizable += is_realizable(x)
+            roundtrips += decompose(x) == (n, m)
+            p1 = stabilize(x)
+            image.add(p1)
+            if p1 == 0:
+                kernel.append(x)
+    span = range(-window, window + 1)
+    in_box = sum(is_realizable(SphereBundleClass(a, b)) for a in span for b in span)
+    t, g = tau(), gamma()
     return {
-        "kernel_is_tau_multiples": kernel_ok,
-        "image_is_even_integers": image_ok,
-        "realizable_closed_under_group_ops": closure_ok,
-        "realizable_has_index_4": index_ok,
-        "decompose_roundtrip": roundtrip_ok,
+        "kernel_is_tau_multiples": kernel == [compose(n, 0) for n in range(-half, half + 1)],
+        "image_is_even_integers": image == {2 * m for m in range(-half, half + 1)},
+        "realizable_closed_under_group_ops": realizable == points == in_box,
+        "realizable_has_index_4": abs(t.a * g.b - t.b * g.a) == 4,
+        "decompose_roundtrip": roundtrips == points,
     }

@@ -4,7 +4,6 @@ import pytest
 
 from d4check import cohomring, linalg, obstruct, pontsolve, rootsys, vect4
 from d4check.cohomring import CohClass
-from d4check.obstruct import CongruenceCondition, solve_congruence, residues_mod2
 
 
 def test_restrict_euler_to_second_sphere():
@@ -25,37 +24,8 @@ def test_restrict_rejects_nonsimple():
         obstruct.restrict(CohClass.of("omega", 1, 0, 0, 0), 4)
 
 
-def test_solve_congruence_odd():
-    assert solve_congruence(CongruenceCondition(2, 2, 4)) == [1, 3]
-
-
-def test_solve_congruence_even():
-    assert solve_congruence(CongruenceCondition(2, 0, 4)) == [0, 2]
-
-
-def test_solve_congruence_unsatisfiable():
-    assert solve_congruence(CongruenceCondition(0, 1, 4)) == []
-
-
-def test_congruence_requires_positive_modulus():
-    with pytest.raises(ValueError):
-        CongruenceCondition(1, 0, 0)
-
-
-def test_congruence_render_signs():
-    assert CongruenceCondition(-2, -2, 4).render() == "-2k - 2 == 0 (mod 4)"
-    assert CongruenceCondition(2, 0, 4).render() == "2k == 0 (mod 4)"
-    assert CongruenceCondition(2, 3, 4).render() == "2k + 3 == 0 (mod 4)"
-
-
 def test_details_render_exact_rationals():
     assert obstruct._exact([(Fraction(1, 2), Fraction(-3))]) == "[(1/2, -3)]"
-
-
-def test_residues_mod2():
-    assert residues_mod2([1, 3], 4) == [1]
-    assert residues_mod2([0, 2], 4) == [0]
-    assert residues_mod2([1], 4) is None  # not a union of mod-2 classes
 
 
 def test_pipeline_obstructed():
@@ -83,8 +53,8 @@ def test_pipeline_congruence_detail():
 
 def test_pipeline_each_congruence_alone_is_satisfiable():
     # the contradiction needs both leaf spheres: each congruence has solutions
-    assert solve_congruence(CongruenceCondition(-2, -2, 4)) != []
-    assert solve_congruence(CongruenceCondition(2, 0, 4)) != []
+    for a, b in obstruct.Run().pairs:
+        assert vect4.leaf_congruence(int(a), int(b))[1] != []
 
 
 def test_pipeline_without_symmetry_is_inconclusive():
@@ -173,6 +143,25 @@ PLANTED_FAULTS = {
         "generator-pairs",
         "",
     ),
+    # Lemma 9: the window check compares every realizable pair of the box with the lattice
+    "realizable-19-20": (
+        lambda mp: mp.setattr(
+            vect4, "is_realizable", lambda x, exact=vect4.is_realizable: (x.a, x.b) == (19, 20) or exact(x)
+        ),
+        "exact-sequence-window",
+        "'realizable_closed_under_group_ops': False",
+    ),
+    "stabilize-keeps-euler": (
+        lambda mp: mp.setattr(vect4, "stabilize", lambda x: x.a),
+        "exact-sequence-window",
+        "'kernel_is_tau_multiples': False",
+    ),
+    # the congruence reaches obstruct only through vect4.is_realizable
+    "realizable-mod-2": (
+        lambda mp: mp.setattr(vect4, "is_realizable", lambda x: (2 * x.a - x.b) % 2 == 0),
+        "congruence-obstruction",
+        "residues [0, 1, 2, 3]",
+    ),
     "sum-zero-dropped": (
         lambda mp: mp.setattr(pontsolve, "sum_zero_constraint", lambda classes: []),
         "pontryagin-solver",
@@ -212,3 +201,24 @@ def test_planted_fault_fails_without_symmetry(monkeypatch, fault):
     rep = obstruct.theorem_pipeline(disable_symmetry=True)
     assert rep.theorem_status == "FAILED"
     assert check_id in rep.failed_ids()
+
+
+def test_failed_object_is_built_once(monkeypatch):
+    # a derived object that fails to build is kept as failed, not rebuilt for every reader
+    _root_coords(0, (2, -1, 0, 0))(monkeypatch)
+    calls = {"simple_generators": 0, "t_actions": 0}
+    for module, name in ((rootsys, "simple_generators"), (cohomring, "t_actions")):
+        def counted(*args, _build=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    rep = obstruct.theorem_pipeline()
+    assert rep.theorem_status == "FAILED"
+    assert calls == {"simple_generators": 1, "t_actions": 1}
+    # each downstream detail names the object that failed
+    details = {c.detail for c in rep.checks if "is not a signed permutation" in c.detail}
+    assert details == {
+        "gens: reflection 1 is not a signed permutation",
+        "acts: t-action of generator 2 is not a signed permutation",
+    }

@@ -4,6 +4,15 @@ from hypothesis import given, strategies as st
 from d4check import vect4
 from d4check.vect4 import SphereBundleClass
 
+#: the detail keys of the window check, read by report consumers
+WINDOW_KEYS = (
+    "kernel_is_tau_multiples",
+    "image_is_even_integers",
+    "realizable_closed_under_group_ops",
+    "realizable_has_index_4",
+    "decompose_roundtrip",
+)
+
 
 def test_generator_pairs():
     assert vect4.tau() == SphereBundleClass(2, 0)
@@ -20,13 +29,14 @@ def test_unrealizable_pair():
 
 
 def test_zero_is_realizable():
-    assert vect4.is_realizable(vect4.zero())
+    assert vect4.is_realizable(SphereBundleClass(0, 0))
 
 
 def test_group_operations():
-    assert vect4.add(vect4.tau(), vect4.gamma()) == SphereBundleClass(3, -2)
-    assert vect4.neg(vect4.gamma()) == SphereBundleClass(-1, 2)
-    assert vect4.add(vect4.zero(), vect4.tau()) == vect4.tau()
+    assert vect4.compose(1, 1) == SphereBundleClass(3, -2)
+    assert vect4.compose(0, -1) == SphereBundleClass(-1, 2)
+    assert vect4.compose(0, 0) == SphereBundleClass(0, 0)
+    assert vect4.compose(1, 0) == vect4.tau()
 
 
 def test_decompose_generators():
@@ -46,26 +56,28 @@ def test_decompose_roundtrip(n, m):
 
 
 def test_stabilize_examples():
-    assert vect4.stabilize(vect4.tau()).p1 == 0
-    assert vect4.stabilize(vect4.gamma()).p1 == -2
-    assert vect4.stabilize(vect4.zero()).p1 == 0
+    assert vect4.stabilize(vect4.tau()) == 0
+    assert vect4.stabilize(vect4.gamma()) == -2
+    assert vect4.stabilize(SphereBundleClass(0, 0)) == 0
 
 
-def test_stable_class_must_be_even():
-    with pytest.raises(ValueError):
-        vect4.StableBundleClass(3)
+@given(st.integers(-30, 30), st.integers(-30, 30))
+def test_stable_class_must_be_even(n, m):
+    assert vect4.stabilize(vect4.compose(n, m)) % 2 == 0
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30))
 def test_g_is_a_homomorphism(a1, b1, a2, b2):
+    # 2a - b mod 4 is additive: adding a realizable pair keeps (non-)realizability
     x, y = SphereBundleClass(a1, b1), SphereBundleClass(a2, b2)
-    assert vect4.g_mod4(vect4.add(x, y)) == (vect4.g_mod4(x) + vect4.g_mod4(y)) % 4
+    if vect4.is_realizable(x):
+        assert vect4.is_realizable(SphereBundleClass(a1 + a2, b1 + b2)) == vect4.is_realizable(y)
 
 
 @given(st.integers(-10, 10), st.integers(-10, 10), st.integers(-10, 10), st.integers(-10, 10))
 def test_stabilize_is_additive(n1, m1, n2, m2):
     x, y = vect4.compose(n1, m1), vect4.compose(n2, m2)
-    assert vect4.stabilize(vect4.add(x, y)).p1 == vect4.stabilize(x).p1 + vect4.stabilize(y).p1
+    assert vect4.stabilize(vect4.compose(n1 + n2, m1 + m2)) == vect4.stabilize(x) + vect4.stabilize(y)
 
 
 def test_realizable_has_index_four():
@@ -80,6 +92,43 @@ def test_realizable_has_index_four():
 
 def test_exact_sequence_window():
     assert all(vect4.verify_exact_sequence(20).values())
+
+
+@pytest.mark.parametrize("window", [4, 5, 6, 7, 8, 9, 21])
+def test_exact_sequence_window_sizes(window):
+    # odd windows included: the image is compared with the even integers of the box
+    assert vect4.verify_exact_sequence(window) == dict.fromkeys(WINDOW_KEYS, True)
+
+
+@pytest.mark.parametrize("extra", [(-20, -19), (1, 0)])
+def test_exact_sequence_window_sees_one_extra_pair(monkeypatch, extra):
+    # the realizable pairs of the box are compared with its lattice points one for one
+    exact = vect4.is_realizable
+    monkeypatch.setattr(vect4, "is_realizable", lambda x: (x.a, x.b) == extra or exact(x))
+    assert vect4.verify_exact_sequence(20)["realizable_closed_under_group_ops"] is False
+
+
+def test_leaf_congruence_odd():
+    assert vect4.leaf_congruence(-1, 2) == ("-2k - 2 == 0 (mod 4)", [1, 3])
+
+
+def test_leaf_congruence_even():
+    assert vect4.leaf_congruence(0, -2) == ("2k == 0 (mod 4)", [0, 2])
+
+
+def test_leaf_congruence_unsatisfiable():
+    assert vect4.leaf_congruence(1, 0)[1] == []
+
+
+def test_leaf_congruence_render_signs():
+    assert vect4.leaf_congruence(-1, 2)[0] == "-2k - 2 == 0 (mod 4)"
+    assert vect4.leaf_congruence(0, -2)[0] == "2k == 0 (mod 4)"
+    assert vect4.leaf_congruence(1, -2)[0] == "2k + 2 == 0 (mod 4)"
+
+
+@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-100, 100))
+def test_leaf_congruence_residues_decide_every_k(a, b, k):
+    assert vect4.is_realizable(SphereBundleClass(a, k * b)) == (k % 4 in vect4.leaf_congruence(a, b)[1])
 
 
 def test_kernel_elements_are_tau_multiples():
@@ -97,7 +146,7 @@ def test_kernel_elements_are_tau_multiples():
 def test_image_of_stabilize_is_even():
     window = 20
     image = {
-        vect4.stabilize(SphereBundleClass(a, b)).p1
+        vect4.stabilize(SphereBundleClass(a, b))
         for a in range(-window, window + 1)
         for b in range(-window, window + 1)
         if vect4.is_realizable(SphereBundleClass(a, b))
