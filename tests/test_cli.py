@@ -179,6 +179,11 @@ GOLDEN = Path(__file__).parent / "golden"
     [
         (["verify-all"], "verify-all.txt"),
         (["verify-all", "--format", "json"], "verify-all.json"),
+        # roots prints each coordinate with str(), so these pin the coordinate type too
+        (["roots"], "roots.txt"),
+        (["weyl"], "weyl.txt"),
+        (["tables", "--which", "4-2"], "tables-4-2.txt"),
+        (["tables", "--which", "4-3"], "tables-4-3.txt"),
     ],
 )
 def test_report_matches_golden(capsys, argv, fixture):
