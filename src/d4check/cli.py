@@ -63,7 +63,7 @@ def _render_symbol_row(symbols) -> str:
 
 
 def _cmd_roots() -> int:
-    rs = rootsys.build_d4(4)
+    rs = rootsys.build_d4()
     for i, root in enumerate(rs.positive_roots, start=1):
         coords = ", ".join(str(c) for c in root.coords)
         print(f"alpha_{i:<2} = ({coords})")
@@ -72,7 +72,7 @@ def _cmd_roots() -> int:
 
 
 def _cmd_weyl(order_only: bool) -> int:
-    rs = rootsys.build_d4(4)
+    rs = rootsys.build_d4()
     group = rootsys.enumerate_group(rootsys.simple_generators(rs).values())
     if order_only:
         print(len(group))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .rootsys import (
@@ -30,15 +29,14 @@ _POS = {idx: k for k, idx in enumerate(SIMPLE_INDICES)}
 # basis under which the dual reflection actions become the signed
 # permutations of the variables (the printed source rows (0,-1,1,0) and
 # (0,0,-1,2) fail that reproduction; the downstream class conversions agree
-# either way).
-T_OF_OMEGA = linalg.to_matrix(
-    [
-        [1, 0, 0, 0],
-        [-1, 1, 0, 0],
-        [0, -1, 1, 1],
-        [0, 0, -1, 1],
-    ]
-)
+# either way).  It is integral with determinant 2, so OMEGA_OF_T has halves:
+# the only rationals of the cohomology calculus.
+T_OF_OMEGA = [
+    [1, 0, 0, 0],
+    [-1, 1, 0, 0],
+    [0, -1, 1, 1],
+    [0, 0, -1, 1],
+]
 OMEGA_OF_T = linalg.invert(T_OF_OMEGA)
 
 
@@ -47,24 +45,24 @@ class CohClass:
     """Coordinate vector of a degree-m cohomology class in a tagged basis."""
 
     basis: str  # "omega", "t" or "d"
-    coords: tuple[Fraction, Fraction, Fraction, Fraction]
+    coords: tuple  # integers, except t coordinates read off OMEGA_OF_T
 
     @staticmethod
     def of(basis: str, *values) -> "CohClass":
         if basis not in ("omega", "t", "d"):
             raise ValueError(f"unknown basis tag: {basis}")
-        return CohClass(basis, tuple(Fraction(v) for v in values))
+        return CohClass(basis, values)
 
 
 @dataclass(frozen=True)
 class HomClass:
     """Homology class over the leaf-sphere basis (b1, b2, b3, b9)."""
 
-    coords: tuple[Fraction, Fraction, Fraction, Fraction]
+    coords: tuple[int, int, int, int]
 
     @staticmethod
     def of(*values) -> "HomClass":
-        return HomClass(tuple(Fraction(v) for v in values))
+        return HomClass(values)
 
     @staticmethod
     def basis(i: int) -> "HomClass":
@@ -93,8 +91,7 @@ def omega_from_d(c: CohClass, cartan: CartanMatrix) -> CohClass:
     """d_i = sum_j B[i][j] omega_j with B the simple Cartan matrix."""
     if c.basis != "d":
         raise ValueError("expected d-basis class")
-    b = linalg.to_matrix(cartan)
-    x = linalg.mat_vec(linalg.transpose(b), list(c.coords))
+    x = linalg.mat_vec(linalg.transpose(cartan), list(c.coords))
     return CohClass("omega", tuple(x))
 
 
@@ -110,19 +107,15 @@ def to_omega(c: CohClass) -> CohClass:
     raise ValueError("d-basis class: convert it with omega_from_d first")
 
 
-def kronecker(c: CohClass, h: HomClass) -> Fraction:
+def kronecker(c: CohClass, h: HomClass) -> int:
     """Evaluation pairing; omega and b are dual bases by definition."""
-    x = to_omega(c).coords
-    return sum((a * b for a, b in zip(x, h.coords)), Fraction(0))
+    return sum(a * b for a, b in zip(to_omega(c).coords, h.coords))
 
 
 def kronecker_matrix(rs: RootSystem) -> list[list[int]]:
     """Pairing of all twelve Euler classes against all twelve sphere classes."""
     n = len(rs.positive_roots)
-    return [
-        [int(cartan_number(rs, i, j)) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
+    return [[cartan_number(rs, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
 def euler_class_d(cartan: CartanMatrix, i: int) -> CohClass:
@@ -138,9 +131,7 @@ def homology_action(cartan: CartanMatrix, i: int, h: HomClass) -> HomClass:
         raise ValueError(f"not a simple index: {i}")
     r = _POS[i]
     out = list(h.coords)
-    out[r] -= sum(
-        Fraction(cartan[r][j]) * h.coords[j] for j in range(4)
-    )
+    out[r] -= sum(cartan[r][j] * h.coords[j] for j in range(4))
     return HomClass(tuple(out))
 
 
@@ -152,14 +143,14 @@ def cohomology_action_omega(cartan: CartanMatrix, i: int, c: CohClass) -> CohCla
         raise ValueError("expected omega-basis class")
     r = _POS[i]
     xi = c.coords[r]
-    out = [c.coords[j] - xi * Fraction(cartan[r][j]) for j in range(4)]
+    out = [c.coords[j] - xi * cartan[r][j] for j in range(4)]
     return CohClass("omega", tuple(out))
 
 
 def _omega_action_matrix(cartan: CartanMatrix, i: int) -> linalg.Matrix:
     cols = []
     for k in range(4):
-        e = CohClass("omega", tuple(Fraction(1 if j == k else 0) for j in range(4)))
+        e = CohClass("omega", tuple(1 if j == k else 0 for j in range(4)))
         cols.append(list(cohomology_action_omega(cartan, i, e).coords))
     return linalg.transpose(cols)
 
@@ -187,14 +178,13 @@ def t_actions(cartan: CartanMatrix) -> dict[int, TSignedPerm]:
 
 
 class Polynomial:
-    """Sparse polynomial in t1..t4 over the rationals."""
+    """Sparse polynomial in t1..t4 with integer coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
         for expo, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
             if coeff != 0:
                 clean[tuple(expo)] = coeff
         self.terms = clean
@@ -204,33 +194,29 @@ class Polynomial:
         if not 1 <= i <= 4:
             raise ValueError(f"variable index out of range: {i}")
         expo = tuple(1 if j == i - 1 else 0 for j in range(4))
-        return Polynomial({expo: Fraction(1)})
+        return Polynomial({expo: 1})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            out[expo] = out.get(expo, Fraction(0)) + coeff
+            out[expo] = out.get(expo, 0) + coeff
         return Polynomial(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
-                out[expo] = out.get(expo, Fraction(0)) + c1 * c2
+                out[expo] = out.get(expo, 0) + c1 * c2
         return Polynomial(out)
 
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+    def scale(self, c: int) -> "Polynomial":
         return Polynomial({e: c * v for e, v in self.terms.items()})
 
     def is_zero(self) -> bool:
@@ -274,7 +260,7 @@ def elementary_symmetric(i: int) -> Polynomial:
     out = Polynomial()
     for combo in itertools.combinations(range(4), i):
         expo = tuple(1 if j in combo else 0 for j in range(4))
-        out = out + Polynomial({expo: Fraction(1)})
+        out = out + Polynomial({expo: 1})
     return out
 
 
@@ -285,13 +271,13 @@ def theta(i: int) -> Polynomial:
     out = Polynomial()
     for combo in itertools.combinations(range(4), i):
         expo = tuple(2 if j in combo else 0 for j in range(4))
-        out = out + Polynomial({expo: Fraction(1)})
+        out = out + Polynomial({expo: 1})
     return out
 
 
 def act_on_polynomial(sp: TSignedPerm, p: Polynomial) -> Polynomial:
     """Substitute t_j -> signs[j] * t_perm[j], extended multiplicatively."""
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, int] = {}
     for expo, coeff in p.terms.items():
         new_expo = [0, 0, 0, 0]
         sign = 1
@@ -300,7 +286,7 @@ def act_on_polynomial(sp: TSignedPerm, p: Polynomial) -> Polynomial:
             if sp.signs[j] < 0 and power % 2 == 1:
                 sign = -sign
         key = tuple(new_expo)
-        out[key] = out.get(key, Fraction(0)) + sign * coeff
+        out[key] = out.get(key, 0) + sign * coeff
     return Polynomial(out)
 
 

@@ -1,4 +1,8 @@
-"""Small exact linear algebra over Fractions: rref, nullspace, inverse."""
+"""Small exact linear algebra: rref, nullspace and inverse over Fractions.
+
+``mat_vec`` and ``mat_mul`` keep the type of their entries, so integer
+matrices stay integral; elimination divides, so its results are Fractions.
+"""
 
 from __future__ import annotations
 
@@ -7,18 +11,14 @@ from fractions import Fraction
 Matrix = list[list[Fraction]]
 
 
-def to_matrix(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def mat_vec(m: Matrix, v: list[Fraction]) -> list[Fraction]:
-    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m]
+def mat_vec(m: Matrix, v: list) -> list:
+    return [sum(a * b for a, b in zip(row, v)) for row in m]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     cols = list(zip(*b))
     return [
-        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols]
+        [sum(x * y for x, y in zip(row, col)) for col in cols]
         for row in a
     ]
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import cohomring, pontsolve, rootsys, vect4
 from .cohomring import CohClass, HomClass, kronecker
@@ -25,7 +24,7 @@ def _exact(x) -> str:
     return str(x)
 
 
-def restrict(c: CohClass, j: int) -> Fraction:
+def restrict(c: CohClass, j: int) -> int:
     """Pairing of a class with the j-th leaf-sphere homology class."""
     if j not in SIMPLE_INDICES:
         raise ValueError(f"not a simple index: {j}")
@@ -111,7 +110,7 @@ class Run:
 
     @_derived
     def rs(self):
-        return rootsys.build_d4(4)
+        return rootsys.build_d4()
 
     @_derived
     def gens(self):
@@ -278,11 +277,11 @@ def _bundle_classes(run):
 def _generator_pairs(run):
     t, g = vect4.tau(), vect4.gamma()
     ok = (
-        (t.a, t.b) == (2, 0)
-        and (g.a, g.b) == (1, -2)
-        and vect4.is_realizable(t)
-        and vect4.is_realizable(g)
-        and not vect4.is_realizable(vect4.SphereBundleClass(1, 0))
+        t == (2, 0)
+        and g == (1, -2)
+        and vect4.is_realizable(*t)
+        and vect4.is_realizable(*g)
+        and not vect4.is_realizable(1, 0)
     )
     return ok, ""
 
@@ -298,7 +297,7 @@ def _leaf_restrictions(run):
 
 
 def _congruence_obstruction(run):
-    (c1, r1), (c2, r2) = (vect4.leaf_congruence(int(a), int(b)) for a, b in run.pairs)
+    (c1, r1), (c2, r2) = (vect4.leaf_congruence(a, b) for a, b in run.pairs)
     inter = sorted(set(r1) & set(r2))
     ok = r1 == [1, 3] and r2 == [0, 2] and inter == []
     return ok, f"{c1} -> residues {r1} (k odd); {c2} -> residues {r2} (k even); intersection {inter}"

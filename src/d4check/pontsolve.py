@@ -3,31 +3,31 @@
 A candidate class k1*t1 + k2*t2 + k3*t3 + k4*t4 is pushed around the root
 orbit by composed pullbacks, then constrained three ways: triviality on the
 base leaf sphere, vanishing of the total tangent-bundle class, and symmetry
-of the focal-manifold part.  Gaussian elimination over the rationals leaves
-a one-dimensional solution line spanned by (1, 1, -1, -1).
+of the focal-manifold part.  The linear forms have integer coefficients;
+Gaussian elimination over the rationals leaves a one-dimensional solution
+line spanned by (1, 1, -1, -1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .cohomring import CohClass, T_OF_OMEGA, euler_class_d, omega_from_t
 from .rootsys import WORD_TABLE, CartanMatrix, TSignedPerm
 
 # Linear form over the unknowns (k1, k2, k3, k4).
-LinForm = tuple[Fraction, Fraction, Fraction, Fraction]
+LinForm = tuple[int, int, int, int]
 
 # A t-basis class whose coefficients are linear forms in the unknowns:
 # entry i is the coefficient form of t_{i+1}.
 SymbolicClass = tuple[LinForm, LinForm, LinForm, LinForm]
 
-ZERO_FORM: LinForm = (Fraction(0),) * 4
+ZERO_FORM: LinForm = (0,) * 4
 
 
 def _unit(i: int) -> LinForm:
-    return tuple(Fraction(1 if j == i else 0) for j in range(4))
+    return tuple(1 if j == i else 0 for j in range(4))
 
 
 def generic_class() -> SymbolicClass:
@@ -152,7 +152,7 @@ def assemble_constraints(
     return eqs
 
 
-def solve(equations: list[Equation]) -> list[list[Fraction]]:
+def solve(equations: list[Equation]) -> linalg.Matrix:
     """Exact nullspace basis of the constraint system over (k1..k4)."""
     rows = [list(eq.coeffs) for eq in equations]
     if not rows:
@@ -189,7 +189,7 @@ TABLE_FOCAL = {
     12: ("k", "-k", "-k4", "-k"),
 }
 
-def _substitute(form: LinForm, k3_is_minus_k: bool) -> tuple[Fraction, Fraction, Fraction]:
+def _substitute(form: LinForm, k3_is_minus_k: bool) -> tuple[int, int, int]:
     """Collapse (k1, k2, k3, k4) to coordinates over (k, k3, k4) with k1=k2=k.
 
     With ``k3_is_minus_k`` the k3 slot is folded into k and reported as zero.
@@ -198,17 +198,17 @@ def _substitute(form: LinForm, k3_is_minus_k: bool) -> tuple[Fraction, Fraction,
     k3 = form[2]
     k4 = form[3]
     if k3_is_minus_k:
-        k, k3 = k - k3, Fraction(0)
+        k, k3 = k - k3, 0
     return (k, k3, k4)
 
 
-def _symbol_to_coords(sym: str, k3_is_minus_k: bool) -> tuple[Fraction, Fraction, Fraction]:
-    sign = Fraction(-1 if sym.startswith("-") else 1)
+def _symbol_to_coords(sym: str, k3_is_minus_k: bool) -> tuple[int, int, int]:
+    sign = -1 if sym.startswith("-") else 1
     name = sym.lstrip("-")
     base = {"k": (1, 0, 0), "k3": (0, 1, 0), "k4": (0, 0, 1)}[name]
-    coords = tuple(sign * Fraction(x) for x in base)
+    coords = tuple(sign * x for x in base)
     if k3_is_minus_k and name == "k3":
-        coords = (-sign, Fraction(0), Fraction(0))
+        coords = (-sign, 0, 0)
     return coords
 
 
@@ -232,7 +232,7 @@ def check_focal_table(classes: dict[int, SymbolicClass]) -> dict[int, bool]:
     return out
 
 
-def focal_sum_reduced(classes: dict[int, SymbolicClass]) -> list[tuple[Fraction, Fraction, Fraction]]:
+def focal_sum_reduced(classes: dict[int, SymbolicClass]) -> list[tuple[int, int, int]]:
     """Focal sum over the reduced unknowns (k, k3=-k folded, k4)."""
     total = focal_sum(classes)
     return [_substitute(f, True) for f in total]
@@ -242,22 +242,24 @@ def focal_sum_reduced(classes: dict[int, SymbolicClass]) -> list[tuple[Fraction,
 # Final classes of the distinguished 4-plane bundle.
 
 
-def solution_line(basis: list[list[Fraction]]) -> list[Fraction]:
-    """The solved line scaled to lead coordinate 1.
+SOLUTION_LINE = (1, 1, -1, -1)
 
-    Raises ``ValueError`` unless ``basis`` spans the line (1, 1, -1, -1).
+
+def solution_line(basis: linalg.Matrix) -> tuple[int, int, int, int]:
+    """The solved line scaled to lead coordinate 1, as integers.
+
+    Raises ``ValueError`` unless ``basis`` spans the line ``SOLUTION_LINE``.
     """
     if len(basis) != 1:
         raise ValueError(f"solution space has dimension {len(basis)}, expected 1")
     v = basis[0]
-    line = [x / v[0] for x in v] if v[0] else v
-    if line != [1, 1, -1, -1]:
+    if not v[0] or tuple(x / v[0] for x in v) != SOLUTION_LINE:
         raise ValueError(f"unexpected solution line: {v}")
-    return line
+    return SOLUTION_LINE
 
 
 def lemma8_classes(
-    cartan: CartanMatrix, basis: list[list[Fraction]]
+    cartan: CartanMatrix, basis: linalg.Matrix
 ) -> tuple[CohClass, CohClass]:
     """Euler class and the unit-coefficient Pontryagin class in omega coords.
 
@@ -268,4 +270,4 @@ def lemma8_classes(
     derivation fixes the last basis vector.
     """
     line = solution_line(basis)
-    return euler_class_d(cartan, 1), omega_from_t(CohClass("t", tuple(line)))
+    return euler_class_d(cartan, 1), omega_from_t(CohClass("t", line))

@@ -32,8 +32,6 @@ _STATUS_MARK = {"pass": "ok  ", "fail": "FAIL", "noted-erratum": "note"}
 
 def to_text(rep: VerificationReport) -> str:
     lines = ["d4check verification report", ""]
-    if not rep.checks:
-        lines.append("0 checks")
     for c in rep.checks:
         mark = _STATUS_MARK.get(c.status, c.status)
         lines.append(f"[{mark}] {c.id} ({c.ref}): {c.statement}")

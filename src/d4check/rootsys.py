@@ -1,7 +1,9 @@
 """D4 root system, signed-permutation Weyl group, orbits and word identities.
 
-Everything is exact: vectors carry Fraction coordinates, group elements are
-signed permutations of four coordinates, and group enumeration is a
+Everything is exact: roots are integer vectors, so their inner products,
+Cartan numbers and reflections are integers too; a quotient that is not
+exact raises ValueError.  Group elements are signed permutations of four
+coordinates, and group enumeration is a
 breadth-first closure that assigns each element a shortlex-reduced word
 over the generator labels 1 < 2 < 3 < 9.
 """
@@ -9,7 +11,6 @@ over the generator labels 1 < 2 < 3 < 9.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 #: Labels of the simple reflections, in the fixed generator order.
@@ -20,27 +21,17 @@ SIMPLE_INDICES = (1, 2, 3, 9)
 class RootVector:
     """A vector in the 4-dimensional normal plane, orthonormal coordinates."""
 
-    coords: tuple[Fraction, Fraction, Fraction, Fraction]
+    coords: tuple[int, int, int, int]
 
     @staticmethod
     def of(*values) -> "RootVector":
-        return RootVector(tuple(Fraction(v) for v in values))
+        return RootVector(values)
 
-    def inner(self, other: "RootVector") -> Fraction:
-        return sum((a * b for a, b in zip(self.coords, other.coords)), Fraction(0))
-
-    def __add__(self, other: "RootVector") -> "RootVector":
-        return RootVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "RootVector") -> "RootVector":
-        return RootVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
+    def inner(self, other: "RootVector") -> int:
+        return sum(a * b for a, b in zip(self.coords, other.coords))
 
     def __neg__(self) -> "RootVector":
         return RootVector(tuple(-a for a in self.coords))
-
-    def scale(self, c) -> "RootVector":
-        c = Fraction(c)
-        return RootVector(tuple(c * a for a in self.coords))
 
 
 @dataclass(frozen=True)
@@ -60,7 +51,7 @@ class TSignedPerm:
     word: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def apply(self, v: RootVector) -> RootVector:
-        out = [Fraction(0)] * 4
+        out = [0] * 4
         for i in range(4):
             out[self.perm[i]] = self.signs[i] * v.coords[i]
         return RootVector(tuple(out))
@@ -77,7 +68,7 @@ def compose(outer: TSignedPerm, inner: TSignedPerm) -> TSignedPerm:
     return TSignedPerm(perm, signs, outer.word + inner.word)
 
 
-def signed_perm(columns: Sequence[Sequence[Fraction]], what: str) -> TSignedPerm:
+def signed_perm(columns: Sequence[Sequence], what: str) -> TSignedPerm:
     """The signed permutation that sends basis vector k to ``columns[k]``.
 
     Raises ValueError naming ``what`` if some column is not a signed unit vector.
@@ -97,7 +88,6 @@ def signed_perm(columns: Sequence[Sequence[Fraction]], what: str) -> TSignedPerm
 class RootSystem:
     positive_roots: tuple[RootVector, ...]
     simple_indices: tuple[int, ...]
-    multiplicity: int
 
     def root(self, i: int) -> RootVector:
         if not 1 <= i <= len(self.positive_roots):
@@ -122,18 +112,19 @@ _POSITIVE_ROOT_COORDS = (
 )
 
 
-def build_d4(m: int) -> RootSystem:
-    """The twelve positive roots of type D4 with uniform multiplicity m."""
-    if m < 1:
-        raise ValueError(f"invalid multiplicity: {m}")
-    roots = tuple(RootVector.of(*c) for c in _POSITIVE_ROOT_COORDS)
-    return RootSystem(roots, SIMPLE_INDICES, m)
+def build_d4() -> RootSystem:
+    """The twelve positive roots of type D4."""
+    roots = tuple(RootVector(c) for c in _POSITIVE_ROOT_COORDS)
+    return RootSystem(roots, SIMPLE_INDICES)
 
 
-def cartan_number(rs: RootSystem, i: int, j: int) -> Fraction:
-    """2(a_i, a_j) / (a_j, a_j); an integer for any pair of roots."""
+def cartan_number(rs: RootSystem, i: int, j: int) -> int:
+    """2(a_i, a_j) / (a_j, a_j); ValueError naming the pair unless it is an integer."""
     ai, aj = rs.root(i), rs.root(j)
-    return 2 * ai.inner(aj) / aj.inner(aj)
+    q, rem = divmod(2 * ai.inner(aj), aj.inner(aj))
+    if rem:
+        raise ValueError(f"cartan number {i},{j} is not an integer")
+    return q
 
 
 #: Integer matrix over the simple indices, rows and columns in the order (1, 2, 3, 9).
@@ -145,22 +136,23 @@ def simple_cartan_matrix(rs: RootSystem) -> CartanMatrix:
 
     It is computed from the roots; callers build it once and pass it on.
     """
-    return [
-        [int(cartan_number(rs, i, j)) for j in rs.simple_indices]
-        for i in rs.simple_indices
-    ]
+    return [[cartan_number(rs, i, j) for j in rs.simple_indices] for i in rs.simple_indices]
 
 
 def reflection(rs: RootSystem, i: int) -> TSignedPerm:
     """The reflection in the hyperplane normal to the i-th positive root."""
-    alpha = rs.root(i)
-    norm = alpha.inner(alpha)
+    alpha = rs.root(i).coords
+    norm = sum(a * a for a in alpha)
+    what = f"reflection {i}"
     images = []
     for k in range(4):
-        ek = RootVector.of(*(1 if t == k else 0 for t in range(4)))
-        images.append((ek - alpha.scale(2 * ek.inner(alpha) / norm)).coords)
+        # e_k - 2 alpha_k / (alpha, alpha) * alpha; a signed permutation has integer entries
+        entries = [divmod(2 * alpha[k] * a, norm) for a in alpha]
+        if any(rem for _, rem in entries):
+            raise ValueError(f"{what} is not a signed permutation")
+        images.append([(1 if t == k else 0) - q for t, (q, _) in enumerate(entries)])
     label = (i,) if i in rs.simple_indices else ()
-    return replace(signed_perm(images, f"reflection {i}"), word=label)
+    return replace(signed_perm(images, what), word=label)
 
 
 def simple_generators(rs: RootSystem) -> dict[int, TSignedPerm]:

@@ -17,7 +17,7 @@ from d4check.rootsys import (
 
 @pytest.fixture(scope="module")
 def rs():
-    return build_d4(4)
+    return build_d4()
 
 
 @pytest.fixture(scope="module")

@@ -54,7 +54,7 @@ def test_pipeline_congruence_detail():
 def test_pipeline_each_congruence_alone_is_satisfiable():
     # the contradiction needs both leaf spheres: each congruence has solutions
     for a, b in obstruct.Run().pairs:
-        assert vect4.leaf_congruence(int(a), int(b))[1] != []
+        assert vect4.leaf_congruence(a, b)[1] != []
 
 
 def test_pipeline_without_symmetry_is_inconclusive():
@@ -96,9 +96,7 @@ def test_erratum_records_present():
 
 def _printed_basis_rows(monkeypatch):
     # the printed rows for t3 and t4 give actions that are not signed permutations
-    printed = linalg.to_matrix(
-        [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 2]]
-    )
+    printed = [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 2]]
     monkeypatch.setattr(cohomring, "T_OF_OMEGA", printed)
     monkeypatch.setattr(cohomring, "OMEGA_OF_T", linalg.invert(printed))
 
@@ -131,6 +129,12 @@ PLANTED_FAULTS = {
         "weyl-order",
         "reflection 1 is not a signed permutation",
     ),
+    # the same root has norm 5: 2(a_2, a_1) / (a_1, a_1) = -2/5 must not be floored to 0
+    "first-root-cartan": (
+        _root_coords(0, (2, -1, 0, 0)),
+        "cartan-matrix",
+        "cartan number 2,1 is not an integer",
+    ),
     "omega-of-t-entry": (_perturbed_omega_of_t, "basis-roundtrip", ""),
     # (3, 1, 2) would be an equivalent reduced word and rightly pass
     "word-table-entry": (
@@ -139,26 +143,26 @@ PLANTED_FAULTS = {
         "5: False",
     ),
     "gamma-sign": (
-        lambda mp: mp.setattr(vect4, "gamma", lambda: vect4.SphereBundleClass(1, 2)),
+        lambda mp: mp.setattr(vect4, "gamma", lambda: (1, 2)),
         "generator-pairs",
         "",
     ),
     # Lemma 9: the window check compares every realizable pair of the box with the lattice
     "realizable-19-20": (
         lambda mp: mp.setattr(
-            vect4, "is_realizable", lambda x, exact=vect4.is_realizable: (x.a, x.b) == (19, 20) or exact(x)
+            vect4, "is_realizable", lambda a, b, exact=vect4.is_realizable: (a, b) == (19, 20) or exact(a, b)
         ),
         "exact-sequence-window",
         "'realizable_closed_under_group_ops': False",
     ),
     "stabilize-keeps-euler": (
-        lambda mp: mp.setattr(vect4, "stabilize", lambda x: x.a),
+        lambda mp: mp.setattr(vect4, "stabilize", lambda x: x[0]),
         "exact-sequence-window",
         "'kernel_is_tau_multiples': False",
     ),
     # the congruence reaches obstruct only through vect4.is_realizable
     "realizable-mod-2": (
-        lambda mp: mp.setattr(vect4, "is_realizable", lambda x: (2 * x.a - x.b) % 2 == 0),
+        lambda mp: mp.setattr(vect4, "is_realizable", lambda a, b: (2 * a - b) % 2 == 0),
         "congruence-obstruction",
         "residues [0, 1, 2, 3]",
     ),
@@ -203,11 +207,28 @@ def test_planted_fault_fails_without_symmetry(monkeypatch, fault):
     assert check_id in rep.failed_ids()
 
 
+#: the checks that read the t-actions, directly or through the objects built from them
+ACTS_READERS = (
+    "t-actions",
+    "invariance-suite",
+    "orbit-table",
+    "focal-table",
+    "pontryagin-solver",
+    "bundle-classes",
+    "leaf-restrictions",
+    "congruence-obstruction",
+)
+
+
 def test_failed_object_is_built_once(monkeypatch):
     # a derived object that fails to build is kept as failed, not rebuilt for every reader
     _root_coords(0, (2, -1, 0, 0))(monkeypatch)
-    calls = {"simple_generators": 0, "t_actions": 0}
-    for module, name in ((rootsys, "simple_generators"), (cohomring, "t_actions")):
+    calls = {"simple_generators": 0, "simple_cartan_matrix": 0, "t_actions": 0}
+    for module, name in (
+        (rootsys, "simple_generators"),
+        (rootsys, "simple_cartan_matrix"),
+        (cohomring, "t_actions"),
+    ):
         def counted(*args, _build=getattr(module, name), _name=name):
             calls[_name] += 1
             return _build(*args)
@@ -215,10 +236,11 @@ def test_failed_object_is_built_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     rep = obstruct.theorem_pipeline()
     assert rep.theorem_status == "FAILED"
-    assert calls == {"simple_generators": 1, "t_actions": 1}
+    # the Cartan matrix fails first, so the t-actions are never built
+    assert calls == {"simple_generators": 1, "simple_cartan_matrix": 1, "t_actions": 0}
     # each downstream detail names the object that failed
     details = {c.detail for c in rep.checks if "is not a signed permutation" in c.detail}
-    assert details == {
-        "gens: reflection 1 is not a signed permutation",
-        "acts: t-action of generator 2 is not a signed permutation",
-    }
+    assert details == {"gens: reflection 1 is not a signed permutation"}
+    readers = [c for c in rep.checks if c.id in ACTS_READERS and c.status == "fail"]
+    assert {c.id for c in readers} == set(ACTS_READERS)
+    assert all(c.detail.startswith("cartan: ") for c in readers)

@@ -9,7 +9,7 @@ from d4check.rootsys import build_d4, simple_cartan_matrix
 
 @pytest.fixture(scope="module")
 def cartan():
-    return simple_cartan_matrix(build_d4(4))
+    return simple_cartan_matrix(build_d4())
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from d4check.rootsys import RootVector, build_d4, compose, identity_element
 
 @pytest.fixture(scope="module")
 def rs():
-    return build_d4(4)
+    return build_d4()
 
 
 @pytest.fixture(scope="module")
@@ -33,11 +33,6 @@ def test_twelve_positive_roots(rs):
 
 def test_all_roots_have_squared_length_two(rs):
     assert all(a.inner(a) == 2 for a in rs.positive_roots)
-
-
-def test_invalid_multiplicity():
-    with pytest.raises(ValueError):
-        build_d4(0)
 
 
 def test_cartan_numbers(rs):
@@ -157,7 +152,7 @@ vectors = st.tuples(rational, rational, rational, rational).map(
 
 @given(vectors, vectors, st.integers(min_value=0, max_value=191))
 def test_group_acts_by_isometries(u, v, n):
-    rs = build_d4(4)
+    rs = build_d4()
     group = rootsys.enumerate_group(rootsys.simple_generators(rs).values())
     w = group[n]
     assert w.apply(u).inner(w.apply(v)) == u.inner(v)
