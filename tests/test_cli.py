@@ -184,6 +184,12 @@ GOLDEN = Path(__file__).parent / "golden"
         (["weyl"], "weyl.txt"),
         (["tables", "--which", "4-2"], "tables-4-2.txt"),
         (["tables", "--which", "4-3"], "tables-4-3.txt"),
+        # each diagnostic switch gives a report of its own
+        (["verify-all", "--no-symmetry-constraint"], "verify-all-no-symmetry.txt"),
+        (["verify-all", "--no-symmetry-constraint", "--format", "json"], "verify-all-no-symmetry.json"),
+        (["verify-all", "--skip-window-checks"], "verify-all-skip-window.txt"),
+        (["verify-all", "--skip-window-checks", "--format", "json"], "verify-all-skip-window.json"),
+        (["verify-all", "--window", "7"], "verify-all-window-7.txt"),
     ],
 )
 def test_report_matches_golden(capsys, argv, fixture):
