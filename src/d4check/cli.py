@@ -8,8 +8,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import obstruct, pontsolve, report, rootsys
+from . import obstruct, pontsolve, report
 from .obstruct import CHECK_IDS, VerificationReport
+from .rootsys import SIMPLE_INDICES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,17 +64,15 @@ def _render_symbol_row(symbols) -> str:
 
 
 def _cmd_roots() -> int:
-    rs = rootsys.build_d4()
-    for i, root in enumerate(rs.positive_roots, start=1):
-        coords = ", ".join(str(c) for c in root.coords)
+    for i, root in enumerate(obstruct.Run().rs, start=1):
+        coords = ", ".join(str(c) for c in root)
         print(f"alpha_{i:<2} = ({coords})")
-    print(f"simple indices: {rs.simple_indices}")
+    print(f"simple indices: {SIMPLE_INDICES}")
     return 0
 
 
 def _cmd_weyl(order_only: bool) -> int:
-    rs = rootsys.build_d4()
-    group = rootsys.enumerate_group(rootsys.simple_generators(rs).values())
+    group = obstruct.Run().group
     if order_only:
         print(len(group))
         return 0

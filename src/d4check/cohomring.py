@@ -1,28 +1,40 @@
 """Degree-m cohomology calculus: bases, pairings, induced actions, invariants.
 
-Cohomology classes live in a 4-dimensional space with three coordinate
-systems (omega, t, d); homology classes are written over the dual basis
-(b1, b2, b3, b9).  The polynomial ring in t1..t4 carries the induced
-signed-permutation action, and the elementary symmetric functions e_i and
-their squared-variable analogues theta_i are the invariants of interest.
+A cohomology class is an integer 4-tuple in the omega basis and a homology
+class is a 4-tuple over the dual leaf-sphere basis (b1, b2, b3, b9); entry r
+belongs to the r-th simple index of (1, 2, 3, 9).  The t coordinates of a
+class are read off the change of basis below.  The polynomial ring in t1..t4
+carries the induced signed-permutation action, and the elementary symmetric
+functions e_i and their squared-variable analogues theta_i are the invariants
+of interest.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import linalg
 from .rootsys import (
     SIMPLE_INDICES,
     CartanMatrix,
-    RootSystem,
     TSignedPerm,
     cartan_number,
     signed_perm,
 )
 
-_POS = {idx: k for k, idx in enumerate(SIMPLE_INDICES)}
+
+def _pos(i: int) -> int:
+    """The entry of simple index ``i`` in a class; ValueError for any other index."""
+    if i not in SIMPLE_INDICES:
+        raise ValueError(f"not a simple index: {i}")
+    return SIMPLE_INDICES.index(i)
+
+
+def unit(i: int) -> tuple[int, int, int, int]:
+    """omega_i, or b_i: the basis class of simple index ``i``."""
+    r = _pos(i)
+    return tuple(1 if j == r else 0 for j in range(4))
+
 
 # t-from-omega transition: t_i = sum_j T_OF_OMEGA[i][j] * omega_j.
 # Rows 3 and 4 are the half-sum (D-type) form: this is the unique change of
@@ -40,118 +52,54 @@ T_OF_OMEGA = [
 OMEGA_OF_T = linalg.invert(T_OF_OMEGA)
 
 
-@dataclass(frozen=True)
-class CohClass:
-    """Coordinate vector of a degree-m cohomology class in a tagged basis."""
-
-    basis: str  # "omega", "t" or "d"
-    coords: tuple  # integers, except t coordinates read off OMEGA_OF_T
-
-    @staticmethod
-    def of(basis: str, *values) -> "CohClass":
-        if basis not in ("omega", "t", "d"):
-            raise ValueError(f"unknown basis tag: {basis}")
-        return CohClass(basis, values)
-
-
-@dataclass(frozen=True)
-class HomClass:
-    """Homology class over the leaf-sphere basis (b1, b2, b3, b9)."""
-
-    coords: tuple[int, int, int, int]
-
-    @staticmethod
-    def of(*values) -> "HomClass":
-        return HomClass(values)
-
-    @staticmethod
-    def basis(i: int) -> "HomClass":
-        return HomClass.of(*(1 if s == i else 0 for s in SIMPLE_INDICES))
-
-
-def t_from_omega(c: CohClass) -> CohClass:
-    """Rewrite an omega-basis class in t coordinates.
+def t_from_omega(c: tuple) -> tuple:
+    """The t coordinates of an omega-basis class.
 
     Coordinates transform by the inverse transpose of the basis transition.
     """
-    if c.basis != "omega":
-        raise ValueError("expected omega-basis class")
-    y = linalg.mat_vec(linalg.transpose(OMEGA_OF_T), list(c.coords))
-    return CohClass("t", tuple(y))
+    return tuple(linalg.mat_vec(linalg.transpose(OMEGA_OF_T), list(c)))
 
 
-def omega_from_t(c: CohClass) -> CohClass:
-    if c.basis != "t":
-        raise ValueError("expected t-basis class")
-    x = linalg.mat_vec(linalg.transpose(T_OF_OMEGA), list(c.coords))
-    return CohClass("omega", tuple(x))
+def omega_from_t(c: tuple) -> tuple:
+    """The omega coordinates of a class given in t coordinates."""
+    return tuple(linalg.mat_vec(linalg.transpose(T_OF_OMEGA), list(c)))
 
 
-def omega_from_d(c: CohClass, cartan: CartanMatrix) -> CohClass:
-    """d_i = sum_j B[i][j] omega_j with B the simple Cartan matrix."""
-    if c.basis != "d":
-        raise ValueError("expected d-basis class")
-    x = linalg.mat_vec(linalg.transpose(cartan), list(c.coords))
-    return CohClass("omega", tuple(x))
+def kronecker(c: tuple, h: tuple) -> int:
+    """Evaluation pairing of an omega-basis class with a b-basis class; the bases are dual."""
+    return sum(a * b for a, b in zip(c, h))
 
 
-def to_omega(c: CohClass) -> CohClass:
-    """Omega coordinates of an omega- or t-basis class.
-
-    A d-basis class needs the Cartan matrix: convert it with ``omega_from_d``.
-    """
-    if c.basis == "omega":
-        return c
-    if c.basis == "t":
-        return omega_from_t(c)
-    raise ValueError("d-basis class: convert it with omega_from_d first")
-
-
-def kronecker(c: CohClass, h: HomClass) -> int:
-    """Evaluation pairing; omega and b are dual bases by definition."""
-    return sum(a * b for a, b in zip(to_omega(c).coords, h.coords))
-
-
-def kronecker_matrix(rs: RootSystem) -> list[list[int]]:
+def kronecker_matrix(rs: tuple) -> list[list[int]]:
     """Pairing of all twelve Euler classes against all twelve sphere classes."""
-    n = len(rs.positive_roots)
+    n = len(rs)
     return [[cartan_number(rs, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
-def euler_class_d(cartan: CartanMatrix, i: int) -> CohClass:
-    """The Euler class d_i of a simple curvature sphere, in omega coordinates."""
-    if i not in SIMPLE_INDICES:
-        raise ValueError(f"not a simple index: {i}")
-    return omega_from_d(CohClass.of("d", *(1 if s == i else 0 for s in SIMPLE_INDICES)), cartan)
+def euler_class_d(cartan: CartanMatrix, i: int) -> tuple:
+    """The Euler class d_i of a simple curvature sphere, in omega coordinates.
+
+    d_i = sum_j B[i][j] omega_j with B the simple Cartan matrix: row i of B.
+    """
+    return tuple(cartan[_pos(i)])
 
 
-def homology_action(cartan: CartanMatrix, i: int, h: HomClass) -> HomClass:
+def homology_action(cartan: CartanMatrix, i: int, h: tuple) -> tuple:
     """Reflection action on homology: b_j -> b_j - beta_ij * b_i."""
-    if i not in SIMPLE_INDICES:
-        raise ValueError(f"not a simple index: {i}")
-    r = _POS[i]
-    out = list(h.coords)
-    out[r] -= sum(cartan[r][j] * h.coords[j] for j in range(4))
-    return HomClass(tuple(out))
+    r = _pos(i)
+    out = list(h)
+    out[r] -= sum(cartan[r][j] * h[j] for j in range(4))
+    return tuple(out)
 
 
-def cohomology_action_omega(cartan: CartanMatrix, i: int, c: CohClass) -> CohClass:
+def cohomology_action_omega(cartan: CartanMatrix, i: int, c: tuple) -> tuple:
     """Dual reflection action in the omega basis, extended linearly."""
-    if i not in SIMPLE_INDICES:
-        raise ValueError(f"not a simple index: {i}")
-    if c.basis != "omega":
-        raise ValueError("expected omega-basis class")
-    r = _POS[i]
-    xi = c.coords[r]
-    out = [c.coords[j] - xi * cartan[r][j] for j in range(4)]
-    return CohClass("omega", tuple(out))
+    r = _pos(i)
+    return tuple(c[j] - c[r] * cartan[r][j] for j in range(4))
 
 
 def _omega_action_matrix(cartan: CartanMatrix, i: int) -> linalg.Matrix:
-    cols = []
-    for k in range(4):
-        e = CohClass("omega", tuple(1 if j == k else 0 for j in range(4)))
-        cols.append(list(cohomology_action_omega(cartan, i, e).coords))
+    cols = [list(cohomology_action_omega(cartan, i, unit(s))) for s in SIMPLE_INDICES]
     return linalg.transpose(cols)
 
 
@@ -189,13 +137,6 @@ class Polynomial:
                 clean[tuple(expo)] = coeff
         self.terms = clean
 
-    @staticmethod
-    def variable(i: int) -> "Polynomial":
-        if not 1 <= i <= 4:
-            raise ValueError(f"variable index out of range: {i}")
-        expo = tuple(1 if j == i - 1 else 0 for j in range(4))
-        return Polynomial({expo: 1})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
 
@@ -222,36 +163,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _sorted_terms(self):
-        # total degree descending, then lexicographic on exponents
-        return sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-x for x in kv[0])))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for expo, coeff in self._sorted_terms():
-            mono = "*".join(
-                f"t{j + 1}" if p == 1 else f"t{j + 1}^{p}"
-                for j, p in enumerate(expo)
-                if p > 0
-            )
-            if not mono:
-                parts.append((coeff, str(coeff)))
-                continue
-            if coeff == 1:
-                parts.append((coeff, mono))
-            elif coeff == -1:
-                parts.append((coeff, f"-{mono}"))
-            else:
-                parts.append((coeff, f"{coeff}*{mono}"))
-        text = parts[0][1]
-        for coeff, piece in parts[1:]:
-            text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return text
-
     def __repr__(self):
-        return f"Polynomial({self.render()})"
+        return f"Polynomial({self.terms})"
 
 
 def elementary_symmetric(i: int) -> Polynomial:

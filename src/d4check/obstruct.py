@@ -12,7 +12,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import cohomring, pontsolve, rootsys, vect4
-from .cohomring import CohClass, HomClass, kronecker
+from .cohomring import kronecker, unit
 from .rootsys import SIMPLE_INDICES
 
 
@@ -24,11 +24,9 @@ def _exact(x) -> str:
     return str(x)
 
 
-def restrict(c: CohClass, j: int) -> int:
-    """Pairing of a class with the j-th leaf-sphere homology class."""
-    if j not in SIMPLE_INDICES:
-        raise ValueError(f"not a simple index: {j}")
-    return kronecker(c, HomClass.basis(j))
+def restrict(c: tuple, j: int) -> int:
+    """Pairing of an omega-basis class with the j-th leaf-sphere homology class."""
+    return kronecker(c, unit(j))
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +136,8 @@ class Run:
         return pontsolve.solve(eqs)
 
     @_derived
-    def bundle(self) -> tuple[CohClass, CohClass]:
-        """Euler class and Pontryagin class per unit k (Lemma 8)."""
+    def bundle(self) -> tuple[tuple, tuple]:
+        """Euler class and Pontryagin class per unit k in omega coordinates (Lemma 8)."""
         return pontsolve.lemma8_classes(self.cartan, self.basis)
 
     @_derived
@@ -174,7 +172,7 @@ def _with_symmetry(run: Run) -> bool:
 EXPECTED_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
 
 # the basis conversions are linear, so the four basis classes decide identities in them
-OMEGA_UNITS = [CohClass.of("omega", *(1 if s == k else 0 for s in range(4))) for k in range(4)]
+OMEGA_UNITS = [unit(i) for i in SIMPLE_INDICES]
 
 EXPECTED_T_ACTIONS = {
     1: rootsys.TSignedPerm((1, 0, 2, 3), (1, 1, 1, 1)),
@@ -190,7 +188,7 @@ def _weyl_order(run):
 
 def _stabilizer_order(run):
     stab = rootsys.enumerate_group([run.gens[1], run.gens[2], run.gens[3]])
-    b_point = rootsys.RootVector.of(1, 1, 1, 1)
+    b_point = (1, 1, 1, 1)
     fixes = all(w.apply(b_point) == b_point for w in stab)
     return (
         len(stab) == 24 and fixes,
@@ -204,7 +202,7 @@ def _word_table(run):
 
 
 def _root_orbit(run):
-    orb = rootsys.orbit(run.group, run.rs.root(1))
+    orb = rootsys.orbit(run.group, run.rs[0])
     return len(orb) == 24, f"orbit size {len(orb)}"
 
 
@@ -224,7 +222,7 @@ def _pairing_duality(run):
         == kronecker(x, cohomring.homology_action(run.cartan, i, h))
         for i in SIMPLE_INDICES
         for x in OMEGA_UNITS
-        for h in map(HomClass.basis, SIMPLE_INDICES)
+        for h in map(unit, SIMPLE_INDICES)
     )
     return ok, ""
 
@@ -269,8 +267,8 @@ def _pontryagin_solver(run):
 def _bundle_classes(run):
     euler, p1_unit = run.bundle
     return (
-        euler.coords == (2, -1, 0, 0) and p1_unit.coords == (0, 2, 0, -2),
-        f"euler {_exact(euler.coords)}, p1 per unit k {_exact(p1_unit.coords)}",
+        euler == (2, -1, 0, 0) and p1_unit == (0, 2, 0, -2),
+        f"euler {_exact(euler)}, p1 per unit k {_exact(p1_unit)}",
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .cohomring import CohClass, T_OF_OMEGA, euler_class_d, omega_from_t
+from .cohomring import T_OF_OMEGA, euler_class_d, omega_from_t
 from .rootsys import WORD_TABLE, CartanMatrix, TSignedPerm
 
 # Linear form over the unknowns (k1, k2, k3, k4).
@@ -258,9 +258,7 @@ def solution_line(basis: linalg.Matrix) -> tuple[int, int, int, int]:
     return SOLUTION_LINE
 
 
-def lemma8_classes(
-    cartan: CartanMatrix, basis: linalg.Matrix
-) -> tuple[CohClass, CohClass]:
+def lemma8_classes(cartan: CartanMatrix, basis: linalg.Matrix) -> tuple[tuple, tuple]:
     """Euler class and the unit-coefficient Pontryagin class in omega coords.
 
     ``basis`` is the solved nullspace of the full constraint system.
@@ -270,4 +268,4 @@ def lemma8_classes(
     derivation fixes the last basis vector.
     """
     line = solution_line(basis)
-    return euler_class_d(cartan, 1), omega_from_t(CohClass("t", line))
+    return euler_class_d(cartan, 1), omega_from_t(line)

@@ -1,11 +1,11 @@
 """D4 root system, signed-permutation Weyl group, orbits and word identities.
 
-Everything is exact: roots are integer vectors, so their inner products,
-Cartan numbers and reflections are integers too; a quotient that is not
-exact raises ValueError.  Group elements are signed permutations of four
-coordinates, and group enumeration is a
-breadth-first closure that assigns each element a shortlex-reduced word
-over the generator labels 1 < 2 < 3 < 9.
+Everything is exact: a root is an integer 4-tuple in the orthonormal
+coordinates e_1..e_4 of the normal plane, so inner products, Cartan numbers
+and reflections are integers too; a quotient that is not exact raises
+ValueError.  Group elements are signed permutations of four coordinates,
+and group enumeration is a breadth-first closure that assigns each element
+a shortlex-reduced word over the generator labels 1 < 2 < 3 < 9.
 """
 
 from __future__ import annotations
@@ -17,21 +17,9 @@ from typing import Iterable, Sequence
 SIMPLE_INDICES = (1, 2, 3, 9)
 
 
-@dataclass(frozen=True)
-class RootVector:
-    """A vector in the 4-dimensional normal plane, orthonormal coordinates."""
-
-    coords: tuple[int, int, int, int]
-
-    @staticmethod
-    def of(*values) -> "RootVector":
-        return RootVector(values)
-
-    def inner(self, other: "RootVector") -> int:
-        return sum(a * b for a, b in zip(self.coords, other.coords))
-
-    def __neg__(self) -> "RootVector":
-        return RootVector(tuple(-a for a in self.coords))
+def inner(u: tuple, v: tuple) -> int:
+    """Euclidean inner product of two vectors in e-coordinates."""
+    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -50,11 +38,11 @@ class TSignedPerm:
     signs: tuple[int, int, int, int]
     word: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
-    def apply(self, v: RootVector) -> RootVector:
+    def apply(self, v: tuple) -> tuple:
         out = [0] * 4
         for i in range(4):
-            out[self.perm[i]] = self.signs[i] * v.coords[i]
-        return RootVector(tuple(out))
+            out[self.perm[i]] = self.signs[i] * v[i]
+        return tuple(out)
 
 
 def identity_element() -> TSignedPerm:
@@ -84,17 +72,6 @@ def signed_perm(columns: Sequence[Sequence], what: str) -> TSignedPerm:
     return TSignedPerm(tuple(perm), tuple(signs))
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    positive_roots: tuple[RootVector, ...]
-    simple_indices: tuple[int, ...]
-
-    def root(self, i: int) -> RootVector:
-        if not 1 <= i <= len(self.positive_roots):
-            raise ValueError(f"root index out of range: {i}")
-        return self.positive_roots[i - 1]
-
-
 # Positive roots in the fixed printed order; entries are (+-e_i +- e_j).
 _POSITIVE_ROOT_COORDS = (
     (1, -1, 0, 0),
@@ -112,16 +89,15 @@ _POSITIVE_ROOT_COORDS = (
 )
 
 
-def build_d4() -> RootSystem:
-    """The twelve positive roots of type D4."""
-    roots = tuple(RootVector(c) for c in _POSITIVE_ROOT_COORDS)
-    return RootSystem(roots, SIMPLE_INDICES)
+def build_d4() -> tuple:
+    """The twelve positive roots of type D4 in e-coordinates; root i is ``rs[i - 1]``."""
+    return _POSITIVE_ROOT_COORDS
 
 
-def cartan_number(rs: RootSystem, i: int, j: int) -> int:
+def cartan_number(rs: tuple, i: int, j: int) -> int:
     """2(a_i, a_j) / (a_j, a_j); ValueError naming the pair unless it is an integer."""
-    ai, aj = rs.root(i), rs.root(j)
-    q, rem = divmod(2 * ai.inner(aj), aj.inner(aj))
+    ai, aj = rs[i - 1], rs[j - 1]
+    q, rem = divmod(2 * inner(ai, aj), inner(aj, aj))
     if rem:
         raise ValueError(f"cartan number {i},{j} is not an integer")
     return q
@@ -131,18 +107,18 @@ def cartan_number(rs: RootSystem, i: int, j: int) -> int:
 CartanMatrix = list[list[int]]
 
 
-def simple_cartan_matrix(rs: RootSystem) -> CartanMatrix:
+def simple_cartan_matrix(rs: tuple) -> CartanMatrix:
     """Cartan matrix over the simple indices, in the order (1, 2, 3, 9).
 
     It is computed from the roots; callers build it once and pass it on.
     """
-    return [[cartan_number(rs, i, j) for j in rs.simple_indices] for i in rs.simple_indices]
+    return [[cartan_number(rs, i, j) for j in SIMPLE_INDICES] for i in SIMPLE_INDICES]
 
 
-def reflection(rs: RootSystem, i: int) -> TSignedPerm:
+def reflection(rs: tuple, i: int) -> TSignedPerm:
     """The reflection in the hyperplane normal to the i-th positive root."""
-    alpha = rs.root(i).coords
-    norm = sum(a * a for a in alpha)
+    alpha = rs[i - 1]
+    norm = inner(alpha, alpha)
     what = f"reflection {i}"
     images = []
     for k in range(4):
@@ -151,12 +127,12 @@ def reflection(rs: RootSystem, i: int) -> TSignedPerm:
         if any(rem for _, rem in entries):
             raise ValueError(f"{what} is not a signed permutation")
         images.append([(1 if t == k else 0) - q for t, (q, _) in enumerate(entries)])
-    label = (i,) if i in rs.simple_indices else ()
+    label = (i,) if i in SIMPLE_INDICES else ()
     return replace(signed_perm(images, what), word=label)
 
 
-def simple_generators(rs: RootSystem) -> dict[int, TSignedPerm]:
-    return {i: reflection(rs, i) for i in rs.simple_indices}
+def simple_generators(rs: tuple) -> dict[int, TSignedPerm]:
+    return {i: reflection(rs, i) for i in SIMPLE_INDICES}
 
 
 def enumerate_group(generators: Iterable[TSignedPerm]) -> list[TSignedPerm]:
@@ -183,7 +159,7 @@ def enumerate_group(generators: Iterable[TSignedPerm]) -> list[TSignedPerm]:
     return list(seen.values())
 
 
-def orbit(group: Iterable[TSignedPerm], v: RootVector) -> set[RootVector]:
+def orbit(group: Iterable[TSignedPerm], v: tuple) -> set[tuple]:
     return {w.apply(v) for w in group}
 
 
@@ -211,11 +187,11 @@ WORD_TABLE: dict[int, tuple[int, ...]] = {
 }
 
 
-def verify_word_table(rs: RootSystem, gens: dict[int, TSignedPerm]) -> dict[int, bool]:
+def verify_word_table(rs: tuple, gens: dict[int, TSignedPerm]) -> dict[int, bool]:
     """Check each tabulated word sends the first root to the indexed root."""
-    alpha1 = rs.root(1)
+    alpha1 = rs[0]
     result = {}
     for idx, word in WORD_TABLE.items():
         w = element_from_word(word, gens)
-        result[idx] = w.apply(alpha1) == rs.root(idx)
+        result[idx] = w.apply(alpha1) == rs[idx - 1]
     return result

@@ -3,25 +3,24 @@ from fractions import Fraction
 import pytest
 
 from d4check import cohomring, linalg, obstruct, pontsolve, rootsys, vect4
-from d4check.cohomring import CohClass
 
 
 def test_restrict_euler_to_second_sphere():
-    e = CohClass.of("omega", 2, -1, 0, 0)
+    e = (2, -1, 0, 0)
     assert obstruct.restrict(e, 2) == -1
     assert obstruct.restrict(e, 9) == 0
-    assert obstruct.restrict(CohClass.of("omega", 1, 0, 0, 0), 1) == 1
+    assert obstruct.restrict((1, 0, 0, 0), 1) == 1
 
 
 def test_restrict_p1_unit():
-    p1 = CohClass.of("omega", 0, 2, 0, -2)
+    p1 = (0, 2, 0, -2)
     assert obstruct.restrict(p1, 2) == 2
     assert obstruct.restrict(p1, 9) == -2
 
 
 def test_restrict_rejects_nonsimple():
     with pytest.raises(ValueError):
-        obstruct.restrict(CohClass.of("omega", 1, 0, 0, 0), 4)
+        obstruct.restrict((1, 0, 0, 0), 4)
 
 
 def test_details_render_exact_rationals():
@@ -135,7 +134,34 @@ PLANTED_FAULTS = {
         "cartan-matrix",
         "cartan number 2,1 is not an integer",
     ),
+    # a first root of (1, 0, 0, 0) still reflects by a signed permutation, so the group builds
+    "first-root-e1-stabilizer": (
+        _root_coords(0, (1, 0, 0, 0)),
+        "stabilizer-order",
+        "enumerated 12 elements, all fixing the base point: False",
+    ),
+    "first-root-e1-orbit": (_root_coords(0, (1, 0, 0, 0)), "root-orbit", "orbit size 2"),
+    "first-root-e1-bundle": (
+        _root_coords(0, (1, 0, 0, 0)),
+        "bundle-classes",
+        "acts: t-action of generator 1 is not a signed permutation",
+    ),
+    "first-root-e1-leaf": (
+        _root_coords(0, (1, 0, 0, 0)),
+        "leaf-restrictions",
+        "acts: t-action of generator 1 is not a signed permutation",
+    ),
     "omega-of-t-entry": (_perturbed_omega_of_t, "basis-roundtrip", ""),
+    "orbit-table-sign": (
+        lambda mp: mp.setitem(pontsolve.TABLE_AFTER_LEAF, 4, ("-k", "k3", "k", "k4")),
+        "orbit-table",
+        "4: False",
+    ),
+    "focal-table-row-8": (
+        lambda mp: mp.setitem(pontsolve.TABLE_FOCAL, 8, ("k", "k", "-k", "-k4")),
+        "focal-table",
+        "8: False",
+    ),
     # (3, 1, 2) would be an equivalent reduced word and rightly pass
     "word-table-entry": (
         lambda mp: mp.setitem(rootsys.WORD_TABLE, 5, (1,)),

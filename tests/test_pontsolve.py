@@ -130,8 +130,8 @@ def test_empty_system_is_four_dimensional():
 
 def test_lemma8_classes(cartan, classes):
     euler, p1_unit = ps.lemma8_classes(cartan, ps.solve(ps.assemble_constraints(classes)))
-    assert euler.coords == (2, -1, 0, 0)
-    assert p1_unit.coords == (0, 2, 0, -2)
+    assert euler == (2, -1, 0, 0)
+    assert p1_unit == (0, 2, 0, -2)
 
 
 def test_focal_sum_vanishes_at_solution(classes):
