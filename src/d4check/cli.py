@@ -110,10 +110,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "roots":
-        return _cmd_roots()
-    if args.command == "weyl":
-        return _cmd_weyl(args.order)
+    try:
+        if args.command == "roots":
+            return _cmd_roots()
+        if args.command == "weyl":
+            return _cmd_weyl(args.order)
+    except ValueError as exc:
+        print(f"d4check: error: {exc}", file=sys.stderr)
+        return 1
     if args.command == "tables":
         return _cmd_tables(args.which)
 

@@ -12,6 +12,7 @@ of interest.
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import linalg
 from .rootsys import (
@@ -98,22 +99,16 @@ def cohomology_action_omega(cartan: CartanMatrix, i: int, c: tuple) -> tuple:
     return tuple(c[j] - c[r] * cartan[r][j] for j in range(4))
 
 
-def _omega_action_matrix(cartan: CartanMatrix, i: int) -> linalg.Matrix:
-    cols = [list(cohomology_action_omega(cartan, i, unit(s))) for s in SIMPLE_INDICES]
-    return linalg.transpose(cols)
-
-
 def action_on_t(cartan: CartanMatrix, i: int) -> TSignedPerm:
     """Conjugate the omega-basis action into t coordinates.
 
-    The result must be a signed permutation of the variables; anything else
-    signals a convention error upstream.
+    Each t_k is read in omega coordinates, acted on there, and read back in
+    t coordinates. The images must make a signed permutation of the
+    variables; anything else signals a convention error upstream.
     """
-    m_omega = _omega_action_matrix(cartan, i)
-    q = linalg.transpose(T_OF_OMEGA)  # omega coords from t coords
-    q_inv = linalg.transpose(OMEGA_OF_T)  # t coords from omega coords
-    m_t = linalg.mat_mul(q_inv, linalg.mat_mul(m_omega, q))
-    return signed_perm(linalg.transpose(m_t), f"t-action of generator {i}")
+    t_units = [tuple(int(j == k) for j in range(4)) for k in range(4)]
+    images = [t_from_omega(cohomology_action_omega(cartan, i, omega_from_t(t))) for t in t_units]
+    return signed_perm(images, f"t-action of generator {i}")
 
 
 def t_actions(cartan: CartanMatrix) -> dict[int, TSignedPerm]:
@@ -167,40 +162,35 @@ class Polynomial:
         return f"Polynomial({self.terms})"
 
 
+def _symmetric(i: int, power: int) -> Polynomial:
+    """The i-th elementary symmetric function in t1^power..t4^power."""
+    combos = itertools.combinations(range(4), i)
+    return Polynomial({tuple(power if j in c else 0 for j in range(4)): 1 for c in combos})
+
+
 def elementary_symmetric(i: int) -> Polynomial:
     if not 1 <= i <= 4:
         raise ValueError(f"index out of range: {i}")
-    out = Polynomial()
-    for combo in itertools.combinations(range(4), i):
-        expo = tuple(1 if j in combo else 0 for j in range(4))
-        out = out + Polynomial({expo: 1})
-    return out
+    return _symmetric(i, 1)
 
 
 def theta(i: int) -> Polynomial:
     """Elementary symmetric function in the squared variables."""
     if not 1 <= i <= 3:
         raise ValueError(f"index out of range: {i}")
-    out = Polynomial()
-    for combo in itertools.combinations(range(4), i):
-        expo = tuple(2 if j in combo else 0 for j in range(4))
-        out = out + Polynomial({expo: 1})
-    return out
+    return _symmetric(i, 2)
 
 
 def act_on_polynomial(sp: TSignedPerm, p: Polynomial) -> Polynomial:
-    """Substitute t_j -> signs[j] * t_perm[j], extended multiplicatively."""
-    out: dict[tuple, int] = {}
-    for expo, coeff in p.terms.items():
-        new_expo = [0, 0, 0, 0]
-        sign = 1
-        for j, power in enumerate(expo):
-            new_expo[sp.perm[j]] += power
-            if sp.signs[j] < 0 and power % 2 == 1:
-                sign = -sign
-        key = tuple(new_expo)
-        out[key] = out.get(key, 0) + sign * coeff
-    return Polynomial(out)
+    """Substitute each t_j by its image under ``sp``, extended multiplicatively.
+
+    ``sp.apply`` moves each exponent to its variable's image (the signs it
+    puts on them are dropped); the term picks up the sign prod_j signs[j]^e_j.
+    """
+    return Polynomial({
+        tuple(map(abs, sp.apply(expo))): math.prod(s**e for s, e in zip(sp.signs, expo)) * coeff
+        for expo, coeff in p.terms.items()
+    })
 
 
 def is_invariant(p: Polynomial, generators) -> bool:

@@ -1,7 +1,7 @@
 """Small exact linear algebra: rref, nullspace and inverse over Fractions.
 
-``mat_vec`` and ``mat_mul`` keep the type of their entries, so integer
-matrices stay integral; elimination divides, so its results are Fractions.
+``mat_vec`` keeps the type of its entries, so an integer matrix maps an
+integer vector to one; elimination divides, so its results are Fractions.
 """
 
 from __future__ import annotations
@@ -13,14 +13,6 @@ Matrix = list[list[Fraction]]
 
 def mat_vec(m: Matrix, v: list) -> list:
     return [sum(a * b for a, b in zip(row, v)) for row in m]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = list(zip(*b))
-    return [
-        [sum(x * y for x, y in zip(row, col)) for col in cols]
-        for row in a
-    ]
 
 
 def transpose(m: Matrix) -> Matrix:

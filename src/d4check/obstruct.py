@@ -128,7 +128,7 @@ class Run:
 
     @_derived
     def classes(self):
-        return pontsolve.orbit_classes(self.acts, pontsolve.generic_class())
+        return pontsolve.orbit_classes(self.acts)
 
     @_derived
     def basis(self):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .cohomring import T_OF_OMEGA, euler_class_d, omega_from_t
-from .rootsys import WORD_TABLE, CartanMatrix, TSignedPerm
+from .rootsys import WORD_TABLE, CartanMatrix, TSignedPerm, element_from_word
 
 # Linear form over the unknowns (k1, k2, k3, k4).
 LinForm = tuple[int, int, int, int]
@@ -35,21 +35,13 @@ def generic_class() -> SymbolicClass:
     return tuple(_unit(i) for i in range(4))
 
 
-def _neg(f: LinForm) -> LinForm:
-    return tuple(-x for x in f)
-
-
 def _add(f: LinForm, g: LinForm) -> LinForm:
     return tuple(a + b for a, b in zip(f, g))
 
 
 def apply_pullback(sp: TSignedPerm, cls: SymbolicClass) -> SymbolicClass:
-    """t_j -> signs[j] * t_perm[j] applied to a symbolic class."""
-    out: list[LinForm] = [ZERO_FORM] * 4
-    for j in range(4):
-        form = cls[j] if sp.signs[j] > 0 else _neg(cls[j])
-        out[sp.perm[j]] = _add(out[sp.perm[j]], form)
-    return tuple(out)
+    """``sp.apply`` on the t-vector of each unknown: the columns of ``cls``."""
+    return tuple(zip(*(sp.apply(col) for col in zip(*cls))))
 
 
 #: Pullback words carrying the base class to each root's class; the base
@@ -57,22 +49,18 @@ def apply_pullback(sp: TSignedPerm, cls: SymbolicClass) -> SymbolicClass:
 ORBIT_WORDS: dict[int, tuple[int, ...]] = {1: (), **WORD_TABLE}
 
 
-def orbit_classes(
-    acts: dict[int, TSignedPerm], generic: SymbolicClass
-) -> dict[int, SymbolicClass]:
+def orbit_classes(acts: dict[int, TSignedPerm]) -> dict[int, SymbolicClass]:
     """The twelve symbolic classes, one per positive root.
 
     ``acts`` are the generator actions on t1..t4 (``cohomring.t_actions``).
-    A word of pullbacks composes contravariantly as written: the rightmost
+    Each class is the pullback of the generic class by the group element of
+    its word, which composes contravariantly as written: the rightmost
     starred generator acts first.
     """
-    out = {}
-    for idx, word in sorted(ORBIT_WORDS.items()):
-        cls = generic
-        for label in reversed(word):
-            cls = apply_pullback(acts[label], cls)
-        out[idx] = cls
-    return out
+    return {
+        idx: apply_pullback(element_from_word(word, acts), generic_class())
+        for idx, word in sorted(ORBIT_WORDS.items())
+    }
 
 
 @dataclass(frozen=True)
@@ -131,7 +119,7 @@ def symmetry_constraint(classes: dict[int, SymbolicClass]) -> list[Equation]:
     for n, sp in enumerate(_TRANSPOSITIONS):
         image = apply_pullback(sp, total)
         for i in range(4):
-            diff = _add(image[i], _neg(total[i]))
+            diff = tuple(a - b for a, b in zip(image[i], total[i]))
             out.append(
                 Equation(
                     diff,
@@ -202,34 +190,30 @@ def _substitute(form: LinForm, k3_is_minus_k: bool) -> tuple[int, int, int]:
     return (k, k3, k4)
 
 
-def _symbol_to_coords(sym: str, k3_is_minus_k: bool) -> tuple[int, int, int]:
+def _symbol_form(sym: str) -> LinForm:
+    """A table symbol as a form over (k1, k2, k3, k4); "k" stands for k1."""
     sign = -1 if sym.startswith("-") else 1
-    name = sym.lstrip("-")
-    base = {"k": (1, 0, 0), "k3": (0, 1, 0), "k4": (0, 0, 1)}[name]
-    coords = tuple(sign * x for x in base)
-    if k3_is_minus_k and name == "k3":
-        coords = (-sign, 0, 0)
-    return coords
+    i = {"k": 0, "k3": 2, "k4": 3}[sym.lstrip("-")]
+    return tuple(sign * x for x in _unit(i))
+
+
+def _match_table(table: dict, classes: dict[int, SymbolicClass], k3_is_minus_k: bool) -> dict[int, bool]:
+    """Per table row: do the class and the row agree over the reduced unknowns?"""
+    return {
+        idx: [_substitute(f, k3_is_minus_k) for f in classes[idx]]
+        == [_substitute(_symbol_form(s), k3_is_minus_k) for s in symbols]
+        for idx, symbols in table.items()
+    }
 
 
 def check_orbit_table(classes: dict[int, SymbolicClass]) -> dict[int, bool]:
     """Match all twelve classes against the after-leaf-constraint table."""
-    out = {}
-    for idx, symbols in TABLE_AFTER_LEAF.items():
-        got = [_substitute(f, False) for f in classes[idx]]
-        want = [_symbol_to_coords(s, False) for s in symbols]
-        out[idx] = got == want
-    return out
+    return _match_table(TABLE_AFTER_LEAF, classes, False)
 
 
 def check_focal_table(classes: dict[int, SymbolicClass]) -> dict[int, bool]:
     """Match the six focal classes against the table with k3 eliminated."""
-    out = {}
-    for idx, symbols in TABLE_FOCAL.items():
-        got = [_substitute(f, True) for f in classes[idx]]
-        want = [_symbol_to_coords(s, True) for s in symbols]
-        out[idx] = got == want
-    return out
+    return _match_table(TABLE_FOCAL, classes, True)
 
 
 def focal_sum_reduced(classes: dict[int, SymbolicClass]) -> list[tuple[int, int, int]]:

@@ -98,7 +98,7 @@ def test_criterion_06_invariance_suite(cartan):
 
 
 def test_criterion_07_orbit_tables(cartan):
-    classes = ps.orbit_classes(ch.t_actions(cartan), ps.generic_class())
+    classes = ps.orbit_classes(ch.t_actions(cartan))
     t42 = all(ps.check_orbit_table(classes).values())
     t43 = all(ps.check_focal_table(classes).values())
     fsum = ps.focal_sum_reduced(classes)
@@ -113,7 +113,7 @@ def test_criterion_07_orbit_tables(cartan):
 
 
 def test_criterion_08_solver(cartan):
-    classes = ps.orbit_classes(ch.t_actions(cartan), ps.generic_class())
+    classes = ps.orbit_classes(ch.t_actions(cartan))
     basis = ps.solve(ps.assemble_constraints(classes, include_symmetry=True))
     full_ok = len(basis) == 1 and [x / basis[0][0] for x in basis[0]] == [
         F(1), F(1), F(-1), F(-1),
@@ -124,7 +124,7 @@ def test_criterion_08_solver(cartan):
 
 
 def test_criterion_09_bundle_classes(cartan):
-    classes = ps.orbit_classes(ch.t_actions(cartan), ps.generic_class())
+    classes = ps.orbit_classes(ch.t_actions(cartan))
     line = ps.solve(ps.assemble_constraints(classes))
     euler, p1_unit = ps.lemma8_classes(cartan, line)
     report("9. Euler class (2,-1,0,0) and Pontryagin class 2k(w2 - w9)",

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from d4check import pontsolve, report, vect4
+from d4check import pontsolve, report, rootsys, vect4
 from d4check.cli import main
 from d4check.obstruct import CHECK_IDS, theorem_pipeline
 
@@ -112,6 +112,18 @@ def test_weyl_order(capsys):
     code, out = run_cli(capsys, "weyl", "--order")
     assert code == 0
     assert out.strip() == "192"
+
+
+@pytest.mark.parametrize("argv", [["weyl"], ["weyl", "--order"]])
+def test_weyl_on_bad_root_data_exits_1(capsys, monkeypatch, argv):
+    # the first root should be (1, -1, 0, 0); its reflection is no signed permutation
+    roots = list(rootsys._POSITIVE_ROOT_COORDS)
+    roots[0] = (2, -1, 0, 0)
+    monkeypatch.setattr(rootsys, "_POSITIVE_ROOT_COORDS", tuple(roots))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "d4check: error: gens: reflection 1 is not a signed permutation\n"
 
 
 def test_roots_listing(capsys):

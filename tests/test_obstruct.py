@@ -152,6 +152,16 @@ PLANTED_FAULTS = {
         "acts: t-action of generator 1 is not a signed permutation",
     ),
     "omega-of-t-entry": (_perturbed_omega_of_t, "basis-roundtrip", ""),
+    # Lemma 5: the sign flips of generator 9 are what keep e1 from being fully invariant
+    "unsigned-substitution": (
+        lambda mp: mp.setattr(
+            cohomring,
+            "act_on_polynomial",
+            lambda sp, p, act=cohomring.act_on_polynomial: act(rootsys.TSignedPerm(sp.perm, (1, 1, 1, 1)), p),
+        ),
+        "invariance-suite",
+        "",
+    ),
     "orbit-table-sign": (
         lambda mp: mp.setitem(pontsolve.TABLE_AFTER_LEAF, 4, ("-k", "k3", "k", "k4")),
         "orbit-table",

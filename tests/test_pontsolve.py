@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from d4check import cohomring as ch
 from d4check import pontsolve as ps
 from d4check.cohomring import t_actions
-from d4check.rootsys import build_d4, simple_cartan_matrix
+from d4check.rootsys import build_d4, compose, enumerate_group, simple_cartan_matrix
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +20,7 @@ def acts(cartan):
 
 @pytest.fixture(scope="module")
 def classes(acts):
-    return ps.orbit_classes(acts, ps.generic_class())
+    return ps.orbit_classes(acts)
 
 
 def F(x):
@@ -69,6 +70,21 @@ def test_pullback_roundtrip(acts, classes):
         for label in reversed(word):
             cls = ps.apply_pullback(acts[label], cls)
         assert cls == classes[idx]
+
+
+def test_pullback_and_substitution_act_on_the_left(acts):
+    # orbit_classes pulls back once by element_from_word(word), the composite
+    # with the rightmost generator applied first; that equals pulling back
+    # generator by generator only if each action is a left action
+    group = enumerate_group(acts.values())
+    assert len(group) == 192
+    generic = ps.generic_class()
+    p = ch.elementary_symmetric(2) * ch.theta(1)
+    for a in acts.values():
+        for b in group:
+            ab = compose(a, b)
+            assert ps.apply_pullback(ab, generic) == ps.apply_pullback(a, ps.apply_pullback(b, generic))
+            assert ch.act_on_polynomial(ab, p) == ch.act_on_polynomial(a, ch.act_on_polynomial(b, p))
 
 
 def test_leaf_sphere_constraint():
