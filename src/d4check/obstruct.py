@@ -9,7 +9,7 @@ off ``vect4``, and certify that their residue sets are disjoint.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import cohomring, pontsolve, rootsys, vect4
 from .cohomring import kronecker, unit
@@ -33,8 +33,7 @@ def restrict(c: tuple, j: int) -> int:
 # Report plumbing
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     id: str
     ref: str
     statement: str
@@ -42,10 +41,10 @@ class CheckRecord:
     detail: str
 
 
-@dataclass
 class VerificationReport:
-    checks: list[CheckRecord] = field(default_factory=list)
-    theorem_status: str = "NOT-RUN"
+    def __init__(self):
+        self.checks: list[CheckRecord] = []
+        self.theorem_status = "NOT-RUN"
 
     def add(self, id: str, ref: str, statement: str, ok: bool, detail: str = "") -> bool:
         status = "pass" if ok else "fail"
@@ -93,7 +92,6 @@ class _derived:
         return value
 
 
-@dataclass
 class Run:
     """One certificate run: the switches and the objects its checks read.
 
@@ -102,9 +100,8 @@ class Run:
     reads.
     """
 
-    window: int = 20
-    disable_symmetry: bool = False
-    skip_window: bool = False
+    def __init__(self, window: int = 20, disable_symmetry: bool = False, skip_window: bool = False):
+        self.window, self.disable_symmetry, self.skip_window = window, disable_symmetry, skip_window
 
     @_derived
     def rs(self):
@@ -116,7 +113,7 @@ class Run:
 
     @_derived
     def group(self):
-        return rootsys.enumerate_group(self.gens.values())
+        return rootsys.enumerate_group(self.gens)
 
     @_derived
     def cartan(self):
@@ -151,8 +148,7 @@ class Run:
         return [c for c in CHECKS if c.when(self)]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One lemma-level fact: ``test`` returns ``(ok, detail)`` or raises ``ValueError``."""
 
     id: str
@@ -187,7 +183,7 @@ def _weyl_order(run):
 
 
 def _stabilizer_order(run):
-    stab = rootsys.enumerate_group([run.gens[1], run.gens[2], run.gens[3]])
+    stab = rootsys.enumerate_group({i: run.gens[i] for i in (1, 2, 3)})
     b_point = (1, 1, 1, 1)
     fixes = all(w.apply(b_point) == b_point for w in stab)
     return (

@@ -10,7 +10,7 @@ line spanned by (1, 1, -1, -1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .cohomring import T_OF_OMEGA, euler_class_d, omega_from_t
@@ -63,8 +63,7 @@ def orbit_classes(acts: dict[int, TSignedPerm]) -> dict[int, SymbolicClass]:
     }
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(NamedTuple):
     """Homogeneous linear equation over (k1, k2, k3, k4) with provenance."""
 
     coeffs: LinForm

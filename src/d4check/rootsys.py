@@ -4,14 +4,13 @@ Everything is exact: a root is an integer 4-tuple in the orthonormal
 coordinates e_1..e_4 of the normal plane, so inner products, Cartan numbers
 and reflections are integers too; a quotient that is not exact raises
 ValueError.  Group elements are signed permutations of four coordinates,
-and group enumeration is a breadth-first closure that assigns each element
-a shortlex-reduced word over the generator labels 1 < 2 < 3 < 9.
+and group enumeration is a breadth-first closure that returns each element
+with its shortlex-reduced word over the generator labels 1 < 2 < 3 < 9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 #: Labels of the simple reflections, in the fixed generator order.
 SIMPLE_INDICES = (1, 2, 3, 9)
@@ -22,21 +21,17 @@ def inner(u: tuple, v: tuple) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class TSignedPerm:
+class TSignedPerm(NamedTuple):
     """A signed permutation of four coordinates.
 
     ``perm[i] = j`` and ``signs[i] = s`` mean the i-th basis vector maps to
     s times the j-th basis vector (0-indexed).  The Weyl group acts this way
     on the normal-plane basis e_1..e_4 and, dually, on the variables t1..t4
-    (t_j -> signs[j] * t_perm[j]).  ``word`` is a reduced word over generator
-    labels, read right-to-left when acting (the rightmost generator is
-    applied first); it does not participate in equality.
+    (t_j -> signs[j] * t_perm[j]).
     """
 
     perm: tuple[int, int, int, int]
     signs: tuple[int, int, int, int]
-    word: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def apply(self, v: tuple) -> tuple:
         out = [0] * 4
@@ -46,14 +41,14 @@ class TSignedPerm:
 
 
 def identity_element() -> TSignedPerm:
-    return TSignedPerm((0, 1, 2, 3), (1, 1, 1, 1), ())
+    return TSignedPerm((0, 1, 2, 3), (1, 1, 1, 1))
 
 
 def compose(outer: TSignedPerm, inner: TSignedPerm) -> TSignedPerm:
     """outer after inner (inner applied first)."""
     perm = tuple(outer.perm[inner.perm[i]] for i in range(4))
     signs = tuple(inner.signs[i] * outer.signs[inner.perm[i]] for i in range(4))
-    return TSignedPerm(perm, signs, outer.word + inner.word)
+    return TSignedPerm(perm, signs)
 
 
 def signed_perm(columns: Sequence[Sequence], what: str) -> TSignedPerm:
@@ -95,8 +90,10 @@ def build_d4() -> tuple:
 
 
 def cartan_number(rs: tuple, i: int, j: int) -> int:
-    """2(a_i, a_j) / (a_j, a_j); ValueError naming the pair unless it is an integer."""
+    """2(a_i, a_j) / (a_j, a_j); ValueError if root j is zero or the quotient no integer."""
     ai, aj = rs[i - 1], rs[j - 1]
+    if not any(aj):
+        raise ValueError(f"root {j} is zero")
     q, rem = divmod(2 * inner(ai, aj), inner(aj, aj))
     if rem:
         raise ValueError(f"cartan number {i},{j} is not an integer")
@@ -118,6 +115,8 @@ def simple_cartan_matrix(rs: tuple) -> CartanMatrix:
 def reflection(rs: tuple, i: int) -> TSignedPerm:
     """The reflection in the hyperplane normal to the i-th positive root."""
     alpha = rs[i - 1]
+    if not any(alpha):
+        raise ValueError(f"root {i} is zero")
     norm = inner(alpha, alpha)
     what = f"reflection {i}"
     images = []
@@ -127,36 +126,32 @@ def reflection(rs: tuple, i: int) -> TSignedPerm:
         if any(rem for _, rem in entries):
             raise ValueError(f"{what} is not a signed permutation")
         images.append([(1 if t == k else 0) - q for t, (q, _) in enumerate(entries)])
-    label = (i,) if i in SIMPLE_INDICES else ()
-    return replace(signed_perm(images, what), word=label)
+    return signed_perm(images, what)
 
 
 def simple_generators(rs: tuple) -> dict[int, TSignedPerm]:
     return {i: reflection(rs, i) for i in SIMPLE_INDICES}
 
 
-def enumerate_group(generators: Iterable[TSignedPerm]) -> list[TSignedPerm]:
-    """Breadth-first closure; each element gets its shortlex-minimal word.
+def enumerate_group(gens: dict[int, TSignedPerm]) -> dict[TSignedPerm, tuple[int, ...]]:
+    """Breadth-first closure: each element with its shortlex-least word over the labels.
 
-    Generators must carry distinct one-letter words; they are processed in
-    increasing label order so the first word found for an element is the
-    shortlex-least one.
+    Labels are tried in increasing order, so the first word found for an
+    element is the shortlex-least one; ``element_from_word`` replays it.
     """
-    gens = sorted(generators, key=lambda g: g.word)
-    ident = identity_element()
-    seen: dict[tuple, TSignedPerm] = {(ident.perm, ident.signs): ident}
-    frontier = [ident]
+    labelled = sorted(gens.items())
+    words = {identity_element(): ()}
+    frontier = list(words)
     while frontier:
         nxt = []
         for w in frontier:
-            for g in gens:
+            for label, g in labelled:
                 h = compose(w, g)
-                key = (h.perm, h.signs)
-                if key not in seen:
-                    seen[key] = h
+                if h not in words:
+                    words[h] = words[w] + (label,)
                     nxt.append(h)
         frontier = nxt
-    return list(seen.values())
+    return words
 
 
 def orbit(group: Iterable[TSignedPerm], v: tuple) -> set[tuple]:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import d4check
 from d4check import pontsolve, report, rootsys, vect4
 from d4check.cli import main
 from d4check.obstruct import CHECK_IDS, theorem_pipeline
@@ -116,14 +120,29 @@ def test_weyl_order(capsys):
 
 @pytest.mark.parametrize("argv", [["weyl"], ["weyl", "--order"]])
 def test_weyl_on_bad_root_data_exits_1(capsys, monkeypatch, argv):
-    # the first root should be (1, -1, 0, 0); its reflection is no signed permutation
-    roots = list(rootsys._POSITIVE_ROOT_COORDS)
-    roots[0] = (2, -1, 0, 0)
-    monkeypatch.setattr(rootsys, "_POSITIVE_ROOT_COORDS", tuple(roots))
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "d4check: error: gens: reflection 1 is not a signed permutation\n"
+    roots = rootsys._POSITIVE_ROOT_COORDS
+    for first_root, error in (
+        # the first root should be (1, -1, 0, 0); its reflection is no signed permutation
+        ((2, -1, 0, 0), "gens: reflection 1 is not a signed permutation"),
+        # a zero root has no reflection at all
+        ((0, 0, 0, 0), "gens: root 1 is zero"),
+    ):
+        monkeypatch.setattr(rootsys, "_POSITIVE_ROOT_COORDS", (first_root,) + roots[1:])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"d4check: error: {error}\n"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the package's records are plain values; dataclasses would also pull in inspect
+    code = (
+        "import sys; before = set(sys.modules); import d4check.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(d4check.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_roots_listing(capsys):

@@ -134,6 +134,9 @@ PLANTED_FAULTS = {
         "cartan-matrix",
         "cartan number 2,1 is not an integer",
     ),
+    # a zero root has no reflection and divides no Cartan number
+    "zero-first-root": (_root_coords(0, (0, 0, 0, 0)), "weyl-order", "gens: root 1 is zero"),
+    "zero-fifth-root": (_root_coords(4, (0, 0, 0, 0)), "kronecker-submatrix", "root 5 is zero"),
     # a first root of (1, 0, 0, 0) still reflects by a signed permutation, so the group builds
     "first-root-e1-stabilizer": (
         _root_coords(0, (1, 0, 0, 0)),

@@ -76,7 +76,7 @@ def test_pullback_and_substitution_act_on_the_left(acts):
     # orbit_classes pulls back once by element_from_word(word), the composite
     # with the rightmost generator applied first; that equals pulling back
     # generator by generator only if each action is a left action
-    group = enumerate_group(acts.values())
+    group = enumerate_group(acts)
     assert len(group) == 192
     generic = ps.generic_class()
     p = ch.elementary_symmetric(2) * ch.theta(1)
