@@ -42,8 +42,9 @@ def unit(i: int) -> tuple[int, int, int, int]:
 # basis under which the dual reflection actions become the signed
 # permutations of the variables (the printed source rows (0,-1,1,0) and
 # (0,0,-1,2) fail that reproduction; the downstream class conversions agree
-# either way).  It is integral with determinant 2, so OMEGA_OF_T has halves:
-# the only rationals of the cohomology calculus.
+# either way).  The rows are the t_k in omega coordinates, so the t-actions
+# match integer rows and never invert.  The matrix has determinant 2, so
+# OMEGA_OF_T has halves; only t_from_omega reads it, for the round trip.
 T_OF_OMEGA = [
     [1, 0, 0, 0],
     [-1, 1, 0, 0],
@@ -100,15 +101,18 @@ def cohomology_action_omega(cartan: CartanMatrix, i: int, c: tuple) -> tuple:
 
 
 def action_on_t(cartan: CartanMatrix, i: int) -> TSignedPerm:
-    """Conjugate the omega-basis action into t coordinates.
+    """The omega-basis action read as an action on t1..t4, in integers.
 
-    Each t_k is read in omega coordinates, acted on there, and read back in
-    t coordinates. The images must make a signed permutation of the
-    variables; anything else signals a convention error upstream.
+    t_k in omega coordinates is row k of ``T_OF_OMEGA``.  Its image must be
+    +-row j, which sends t_k to +-t_j; an image that matches no row, or two
+    that match one, signals a convention error upstream.
     """
-    t_units = [tuple(int(j == k) for j in range(4)) for k in range(4)]
-    images = [t_from_omega(cohomology_action_omega(cartan, i, omega_from_t(t))) for t in t_units]
-    return signed_perm(images, f"t-action of generator {i}")
+    targets = {}
+    for j, row in enumerate(T_OF_OMEGA):
+        for s in (1, -1):
+            targets[tuple(s * x for x in row)] = tuple(s * (t == j) for t in range(4))
+    columns = [targets.get(cohomology_action_omega(cartan, i, row), (0, 0, 0, 0)) for row in T_OF_OMEGA]
+    return signed_perm(columns, f"t-action of generator {i}")
 
 
 def t_actions(cartan: CartanMatrix) -> dict[int, TSignedPerm]:

@@ -34,9 +34,12 @@ class TSignedPerm(NamedTuple):
     signs: tuple[int, int, int, int]
 
     def apply(self, v: tuple) -> tuple:
-        out = [0] * 4
-        for i in range(4):
-            out[self.perm[i]] = self.signs[i] * v[i]
+        (p0, p1, p2, p3), (s0, s1, s2, s3) = self
+        out = [0, 0, 0, 0]
+        out[p0] = s0 * v[0]
+        out[p1] = s1 * v[1]
+        out[p2] = s2 * v[2]
+        out[p3] = s3 * v[3]
         return tuple(out)
 
 
@@ -46,21 +49,25 @@ def identity_element() -> TSignedPerm:
 
 def compose(outer: TSignedPerm, inner: TSignedPerm) -> TSignedPerm:
     """outer after inner (inner applied first)."""
-    perm = tuple(outer.perm[inner.perm[i]] for i in range(4))
-    signs = tuple(inner.signs[i] * outer.signs[inner.perm[i]] for i in range(4))
-    return TSignedPerm(perm, signs)
+    perm, signs = outer
+    (p0, p1, p2, p3), (s0, s1, s2, s3) = inner
+    return TSignedPerm(
+        (perm[p0], perm[p1], perm[p2], perm[p3]),
+        (s0 * signs[p0], s1 * signs[p1], s2 * signs[p2], s3 * signs[p3]),
+    )
 
 
 def signed_perm(columns: Sequence[Sequence], what: str) -> TSignedPerm:
     """The signed permutation that sends basis vector k to ``columns[k]``.
 
-    Raises ValueError naming ``what`` if some column is not a signed unit vector.
+    Raises ValueError naming ``what`` if some column is not a signed unit vector
+    or two columns share a target.
     """
     perm = [0] * 4
     signs = [0] * 4
     for k, col in enumerate(columns):
         nonzero = [(t, c) for t, c in enumerate(col) if c != 0]
-        if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
+        if len(nonzero) != 1 or abs(nonzero[0][1]) != 1 or nonzero[0][0] in perm[:k]:
             raise ValueError(f"{what} is not a signed permutation")
         perm[k] = nonzero[0][0]
         signs[k] = 1 if nonzero[0][1] > 0 else -1

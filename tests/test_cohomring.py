@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from d4check import cohomring as ch
+from d4check import cohomring as ch, linalg
 from d4check.cohomring import Polynomial, TSignedPerm
+from d4check.obstruct import EXPECTED_T_ACTIONS
 from d4check.rootsys import (
     SIMPLE_INDICES,
     build_d4,
     compose,
     identity_element,
+    signed_perm,
     simple_cartan_matrix,
 )
 
@@ -136,6 +138,43 @@ def test_t_actions_match_table(rs, acts):
     assert acts[2] == TSignedPerm((0, 2, 1, 3), (1, 1, 1, 1))
     assert acts[3] == TSignedPerm((0, 1, 3, 2), (1, 1, 1, 1))
     assert acts[9] == TSignedPerm((0, 1, 3, 2), (1, 1, -1, -1))
+
+
+def _conjugated_t_action(cartan, i):
+    # the t-action read through both basis conversions, Fractions and all
+    units = [tuple(int(j == k) for j in range(4)) for k in range(4)]
+    images = [ch.t_from_omega(ch.cohomology_action_omega(cartan, i, ch.omega_from_t(e))) for e in units]
+    return signed_perm(images, f"t-action of generator {i}")
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("rows", ["solved", "printed"])
+def test_t_actions_match_conjugation(monkeypatch, cartan, rows):
+    if rows == "printed":
+        # the source's rows for t3 and t4; some generators then act by no signed permutation
+        printed = [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 2]]
+        monkeypatch.setattr(ch, "T_OF_OMEGA", printed)
+        monkeypatch.setattr(ch, "OMEGA_OF_T", linalg.invert(printed))
+    outcomes = {i: _outcome(lambda: ch.action_on_t(cartan, i)) for i in SIMPLE_INDICES}
+    assert outcomes == {i: _outcome(lambda: _conjugated_t_action(cartan, i)) for i in SIMPLE_INDICES}
+    assert any(isinstance(o, str) for o in outcomes.values()) == (rows == "printed")
+
+
+def test_t_actions_stay_in_integers(monkeypatch, cartan):
+    def no_fraction(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(ch, "OMEGA_OF_T", None)
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
+    acts = ch.t_actions(cartan)
+    monkeypatch.undo()
+    assert acts == EXPECTED_T_ACTIONS
 
 
 def test_duality_exhaustive(cartan):

@@ -81,6 +81,36 @@ def test_group_order(group):
     assert len(group) == 192
 
 
+def test_apply_matches_definition(group):
+    # basis vector i goes to signs[i] times basis vector perm[i]
+    v = (1, 2, 3, 4)
+    for w in group:
+        out = [0] * 4
+        for i in range(4):
+            out[w.perm[i]] = w.signs[i] * v[i]
+        assert w.apply(v) == tuple(out)
+
+
+def test_compose_is_the_action(group):
+    v = (1, 2, 3, 4)
+    for g in group:
+        for h in group:
+            assert compose(g, h).apply(v) == g.apply(h.apply(v))
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [(1, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+        [(0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)],
+    ],
+)
+def test_signed_perm_rejects_repeated_target(columns):
+    # signed unit columns that send two basis vectors to one target
+    with pytest.raises(ValueError, match="^x is not a signed permutation$"):
+        rootsys.signed_perm(columns, "x")
+
+
 def test_stabilizer_subgroup(rs, gens):
     sub = rootsys.enumerate_group({i: gens[i] for i in (1, 2, 3)})
     assert len(sub) == 24
