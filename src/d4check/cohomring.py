@@ -2,11 +2,12 @@
 
 A cohomology class is an integer 4-tuple in the omega basis and a homology
 class is a 4-tuple over the dual leaf-sphere basis (b1, b2, b3, b9); entry r
-belongs to the r-th simple index of (1, 2, 3, 9).  The t coordinates of a
-class are read off the change of basis below.  The polynomial ring in t1..t4
-carries the induced signed-permutation action, and the elementary symmetric
-functions e_i and their squared-variable analogues theta_i are the invariants
-of interest.
+belongs to the r-th simple index of (1, 2, 3, 9).  The variables t1..t4 are
+the normal-plane coordinates e_1..e_4, and ``omega_from_t`` turns t
+coordinates into omega coordinates in integers.  The polynomial ring in
+t1..t4 carries the induced signed-permutation action, and the elementary
+symmetric functions e_i and their squared-variable analogues theta_i are the
+invariants of interest.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 
-from . import linalg
 from .rootsys import (
     SIMPLE_INDICES,
     CartanMatrix,
@@ -38,33 +38,22 @@ def unit(i: int) -> tuple[int, int, int, int]:
 
 
 # t-from-omega transition: t_i = sum_j T_OF_OMEGA[i][j] * omega_j.
-# Rows 3 and 4 are the half-sum (D-type) form: this is the unique change of
-# basis under which the dual reflection actions become the signed
-# permutations of the variables (the printed source rows (0,-1,1,0) and
-# (0,0,-1,2) fail that reproduction; the downstream class conversions agree
-# either way).  The rows are the t_k in omega coordinates, so the t-actions
-# match integer rows and never invert.  The matrix has determinant 2, so
-# OMEGA_OF_T has halves; only t_from_omega reads it, for the round trip.
+# The t_i are the normal-plane coordinates e_i, so T_OF_OMEGA[i][j] is the
+# inner product of e_i with simple root j, and ``omega_from_t`` sends each
+# simple root to its Cartan row.  Rows 3 and 4 are the half-sum (D-type) form;
+# the printed source rows (0,-1,1,0) and (0,0,-1,2) fail that reproduction
+# (the downstream class conversions agree either way).
 T_OF_OMEGA = [
     [1, 0, 0, 0],
     [-1, 1, 0, 0],
     [0, -1, 1, 1],
     [0, 0, -1, 1],
 ]
-OMEGA_OF_T = linalg.invert(T_OF_OMEGA)
-
-
-def t_from_omega(c: tuple) -> tuple:
-    """The t coordinates of an omega-basis class.
-
-    Coordinates transform by the inverse transpose of the basis transition.
-    """
-    return tuple(linalg.mat_vec(linalg.transpose(OMEGA_OF_T), list(c)))
 
 
 def omega_from_t(c: tuple) -> tuple:
     """The omega coordinates of a class given in t coordinates."""
-    return tuple(linalg.mat_vec(linalg.transpose(T_OF_OMEGA), list(c)))
+    return tuple(sum(x * row[j] for x, row in zip(c, T_OF_OMEGA)) for j in range(4))
 
 
 def kronecker(c: tuple, h: tuple) -> int:

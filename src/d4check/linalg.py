@@ -1,74 +1,57 @@
-"""Small exact linear algebra: rref, nullspace and inverse over Fractions.
+"""Small exact linear algebra over the integers: echelon form and nullspace.
 
-``mat_vec`` keeps the type of its entries, so an integer matrix maps an
-integer vector to one; elimination divides, so its results are Fractions.
+Elimination cross-multiplies rows and divides each pivot row by its gcd, so
+every entry stays an integer; a nullspace entry that is no integer raises
+ValueError instead of being floored.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
-Matrix = list[list[Fraction]]
-
-
-def mat_vec(m: Matrix, v: list) -> list:
-    return [sum(a * b for a, b in zip(row, v)) for row in m]
-
-
-def transpose(m: Matrix) -> Matrix:
-    return [list(row) for row in zip(*m)]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+Matrix = list[list[int]]
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    """Integer row echelon form with every pivot column cleared above and below.
+
+    A pivot row is divided by its gcd when its pivot is chosen; pivots stay
+    positive but are not scaled to 1.  Returns (matrix, pivot column indices).
+    """
     a = [row[:] for row in m]
-    n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
     pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n_rows):
+        g = math.gcd(*a[r]) if a[r][c] > 0 else -math.gcd(*a[r])
+        a[r] = [x // g for x in a[r]]
+        p = a[r][c]
+        for i in range(len(a)):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [p * x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
     return a, pivots
 
 
-def nullspace(m: Matrix) -> list[list[Fraction]]:
-    """Basis of the right nullspace, one vector per free column."""
-    if not m:
-        return []
+def nullspace(m: Matrix) -> Matrix:
+    """Basis of the right nullspace: per free column, the vector with 1 there and 0 at the others.
+
+    Raises ValueError if one of those vectors has an entry that is no integer.
+    """
     a, pivots = rref(m)
-    n_cols = len(m[0])
-    free = [c for c in range(n_cols) if c not in pivots]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -a[r][f]
+    for f in range(len(m[0]) if m else 0):
+        if f in pivots:
+            continue
+        v = [0] * len(m[0])
+        v[f] = 1
+        for row, p in zip(a, pivots):
+            v[p], rem = divmod(-row[f], row[p])
+            if rem:
+                raise ValueError(f"nullspace vector of free column {f} is not integral")
         basis.append(v)
     return basis
-
-
-def invert(m: Matrix) -> Matrix:
-    n = len(m)
-    aug = [row[:] + identity(n)[i] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]

@@ -3,9 +3,9 @@
 A candidate class k1*t1 + k2*t2 + k3*t3 + k4*t4 is pushed around the root
 orbit by composed pullbacks, then constrained three ways: triviality on the
 base leaf sphere, vanishing of the total tangent-bundle class, and symmetry
-of the focal-manifold part.  The linear forms have integer coefficients;
-Gaussian elimination over the rationals leaves a one-dimensional solution
-line spanned by (1, 1, -1, -1).
+of the focal-manifold part.  The linear forms have integer coefficients, and
+integer elimination (``linalg``) leaves a one-dimensional solution line
+spanned by (1, 1, -1, -1).
 """
 
 from __future__ import annotations
@@ -93,13 +93,6 @@ def sum_zero_constraint(classes: dict[int, SymbolicClass]) -> list[Equation]:
     return out
 
 
-_TRANSPOSITIONS = [
-    TSignedPerm((1, 0, 2, 3), (1, 1, 1, 1)),
-    TSignedPerm((0, 2, 1, 3), (1, 1, 1, 1)),
-    TSignedPerm((0, 1, 3, 2), (1, 1, 1, 1)),
-]
-
-
 def focal_sum(classes: dict[int, SymbolicClass]) -> SymbolicClass:
     total: SymbolicClass = (ZERO_FORM,) * 4
     for idx in range(7, 13):
@@ -107,44 +100,37 @@ def focal_sum(classes: dict[int, SymbolicClass]) -> SymbolicClass:
     return total
 
 
-def symmetry_constraint(classes: dict[int, SymbolicClass]) -> list[Equation]:
+def symmetry_constraint(classes: dict[int, SymbolicClass], acts: dict[int, TSignedPerm]) -> list[Equation]:
     """The focal part (roots 7..12) must be a symmetric function of the t_i.
 
-    Transpositions of adjacent variables generate the full symmetric group,
-    so invariance under those three suffices.
+    The stabilizer generators 1, 2 and 3 act on t by the transpositions of
+    adjacent variables, which generate the full symmetric group, so
+    invariance under those three suffices.
     """
     total = focal_sum(classes)
     out = []
-    for n, sp in enumerate(_TRANSPOSITIONS):
-        image = apply_pullback(sp, total)
+    for g in (1, 2, 3):
+        image = apply_pullback(acts[g], total)
         for i in range(4):
             diff = tuple(a - b for a, b in zip(image[i], total[i]))
-            out.append(
-                Equation(
-                    diff,
-                    f"focal sum symmetry, swap t{n + 1}/t{n + 2}, t{i + 1} coefficient",
-                )
-            )
+            out.append(Equation(diff, f"focal sum symmetry under generator {g}, t{i + 1} coefficient"))
     return out
 
 
 def assemble_constraints(
-    classes: dict[int, SymbolicClass], include_symmetry: bool = True
+    classes: dict[int, SymbolicClass], acts: dict[int, TSignedPerm], include_symmetry: bool = True
 ) -> list[Equation]:
     """The constraint system over the orbit classes of the generic class."""
     eqs = [leaf_sphere_constraint()]
     eqs += sum_zero_constraint(classes)
     if include_symmetry:
-        eqs += symmetry_constraint(classes)
+        eqs += symmetry_constraint(classes, acts)
     return eqs
 
 
 def solve(equations: list[Equation]) -> linalg.Matrix:
-    """Exact nullspace basis of the constraint system over (k1..k4)."""
-    rows = [list(eq.coeffs) for eq in equations]
-    if not rows:
-        return linalg.identity(4)
-    return linalg.nullspace(rows)
+    """Exact integer nullspace basis of the constraint system over (k1..k4)."""
+    return linalg.nullspace([list(eq.coeffs) for eq in equations])
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +182,13 @@ def _symbol_form(sym: str) -> LinForm:
     return tuple(sign * x for x in _unit(i))
 
 
-def _match_table(table: dict, classes: dict[int, SymbolicClass], k3_is_minus_k: bool) -> dict[int, bool]:
-    """Per table row: do the class and the row agree over the reduced unknowns?"""
+def _match_table(table: dict, rows: range, classes: dict[int, SymbolicClass], k3_is_minus_k: bool) -> dict:
+    """Per table row: do the class and the row agree over the reduced unknowns?
+
+    Raises ValueError unless the table has exactly the rows ``rows``.
+    """
+    if sorted(table) != list(rows):
+        raise ValueError(f"table rows {sorted(table)}, expected {rows.start}..{rows.stop - 1}")
     return {
         idx: [_substitute(f, k3_is_minus_k) for f in classes[idx]]
         == [_substitute(_symbol_form(s), k3_is_minus_k) for s in symbols]
@@ -207,12 +198,12 @@ def _match_table(table: dict, classes: dict[int, SymbolicClass], k3_is_minus_k: 
 
 def check_orbit_table(classes: dict[int, SymbolicClass]) -> dict[int, bool]:
     """Match all twelve classes against the after-leaf-constraint table."""
-    return _match_table(TABLE_AFTER_LEAF, classes, False)
+    return _match_table(TABLE_AFTER_LEAF, range(1, 13), classes, False)
 
 
 def check_focal_table(classes: dict[int, SymbolicClass]) -> dict[int, bool]:
     """Match the six focal classes against the table with k3 eliminated."""
-    return _match_table(TABLE_FOCAL, classes, True)
+    return _match_table(TABLE_FOCAL, range(7, 13), classes, True)
 
 
 def focal_sum_reduced(classes: dict[int, SymbolicClass]) -> list[tuple[int, int, int]]:
@@ -236,7 +227,7 @@ def solution_line(basis: linalg.Matrix) -> tuple[int, int, int, int]:
     if len(basis) != 1:
         raise ValueError(f"solution space has dimension {len(basis)}, expected 1")
     v = basis[0]
-    if not v[0] or tuple(x / v[0] for x in v) != SOLUTION_LINE:
+    if not v[0] or tuple(v) != tuple(v[0] * x for x in SOLUTION_LINE):
         raise ValueError(f"unexpected solution line: {v}")
     return SOLUTION_LINE
 

@@ -145,6 +145,7 @@ def enumerate_group(gens: dict[int, TSignedPerm]) -> dict[TSignedPerm, tuple[int
 
     Labels are tried in increasing order, so the first word found for an
     element is the shortlex-least one; ``element_from_word`` replays it.
+    Raises ValueError past 2^4 * 4! = 384 elements, which only signs other than +-1 reach.
     """
     labelled = sorted(gens.items())
     words = {identity_element(): ()}
@@ -157,6 +158,8 @@ def enumerate_group(gens: dict[int, TSignedPerm]) -> dict[TSignedPerm, tuple[int
                 if h not in words:
                     words[h] = words[w] + (label,)
                     nxt.append(h)
+        if len(words) > 384:
+            raise ValueError("the generators give more than 2^4 * 4! = 384 signed permutations")
         frontier = nxt
     return words
 

@@ -145,6 +145,17 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
+def test_verify_all_loads_no_fractions():
+    # the certificate is integer arithmetic throughout, so nothing imports fractions
+    code = (
+        "import sys; import d4check.cli; code = d4check.cli.main(['verify-all']); "
+        "print(f'exit {code}, fractions loaded: {\"fractions\" in sys.modules}')"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(d4check.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "exit 0, fractions loaded: False"
+
+
 def test_roots_listing(capsys):
     code, out = run_cli(capsys, "roots")
     assert code == 0

@@ -1,18 +1,15 @@
-import itertools
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
-from d4check import cohomring as ch, linalg
+from d4check import cohomring as ch
 from d4check.cohomring import Polynomial, TSignedPerm
-from d4check.obstruct import EXPECTED_T_ACTIONS
 from d4check.rootsys import (
     SIMPLE_INDICES,
     build_d4,
     compose,
     identity_element,
-    signed_perm,
+    inner,
+    reflection,
     simple_cartan_matrix,
 )
 
@@ -33,7 +30,7 @@ def acts(cartan):
 
 
 def omega_unit(k):
-    return tuple(Fraction(1 if j == k else 0) for j in range(4))
+    return tuple(int(j == k) for j in range(4))
 
 
 # -- pairings and bases -----------------------------------------------------
@@ -78,30 +75,32 @@ def test_euler_class_rejects_nonsimple(cartan):
         ch.euler_class_d(cartan, 4)
 
 
-def test_t_from_omega_unit():
-    assert ch.t_from_omega(omega_unit(0)) == (1, 0, 0, 0)
+def test_omega_from_t_sends_simple_roots_to_cartan_rows(rs, cartan):
+    assert [ch.omega_from_t(rs[i - 1]) for i in SIMPLE_INDICES] == [tuple(row) for row in cartan]
 
 
 def test_omega_coords_of_pontryagin_combination():
     assert ch.omega_from_t((1, 1, -1, -1)) == (0, 2, 0, -2)
 
 
-rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+coord = st.integers(min_value=-20, max_value=20)
 
 
-@given(st.tuples(rational, rational, rational, rational))
-def test_basis_roundtrip(coords):
-    c = tuple(Fraction(x) for x in coords)
-    assert ch.omega_from_t(ch.t_from_omega(c)) == c
+@given(st.tuples(coord, coord, coord, coord))
+def test_basis_roundtrip(c):
+    # t is e: pairing a class with b_j is the inner product of its t coordinates with simple root j
+    rs = build_d4()
+    assert [ch.kronecker(ch.omega_from_t(c), ch.unit(j)) for j in SIMPLE_INDICES] == [
+        inner(c, rs[j - 1]) for j in SIMPLE_INDICES
+    ]
 
 
-@given(st.tuples(rational, rational, rational, rational))
-def test_pairing_is_basis_independent(coords):
+@given(st.tuples(coord, coord, coord, coord))
+def test_pairing_is_basis_independent(c):
     # expand the class over t1..t4 and pair each t_i, an omega-basis class, with h
-    c = tuple(Fraction(x) for x in coords)
     h = (2, -3, 5, 7)
     t_pairings = [ch.kronecker(row, h) for row in ch.T_OF_OMEGA]
-    assert sum(y * p for y, p in zip(ch.t_from_omega(c), t_pairings)) == ch.kronecker(c, h)
+    assert sum(y * p for y, p in zip(c, t_pairings)) == ch.kronecker(ch.omega_from_t(c), h)
 
 
 # -- induced actions --------------------------------------------------------
@@ -140,13 +139,6 @@ def test_t_actions_match_table(rs, acts):
     assert acts[9] == TSignedPerm((0, 1, 3, 2), (1, 1, -1, -1))
 
 
-def _conjugated_t_action(cartan, i):
-    # the t-action read through both basis conversions, Fractions and all
-    units = [tuple(int(j == k) for j in range(4)) for k in range(4)]
-    images = [ch.t_from_omega(ch.cohomology_action_omega(cartan, i, ch.omega_from_t(e))) for e in units]
-    return signed_perm(images, f"t-action of generator {i}")
-
-
 def _outcome(build):
     try:
         return build()
@@ -155,26 +147,16 @@ def _outcome(build):
 
 
 @pytest.mark.parametrize("rows", ["solved", "printed"])
-def test_t_actions_match_conjugation(monkeypatch, cartan, rows):
+def test_t_actions_are_the_reflections(monkeypatch, rs, cartan, rows):
+    # t is e, so each generator acts on t1..t4 as its reflection acts on e_1..e_4
     if rows == "printed":
         # the source's rows for t3 and t4; some generators then act by no signed permutation
         printed = [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 2]]
         monkeypatch.setattr(ch, "T_OF_OMEGA", printed)
-        monkeypatch.setattr(ch, "OMEGA_OF_T", linalg.invert(printed))
     outcomes = {i: _outcome(lambda: ch.action_on_t(cartan, i)) for i in SIMPLE_INDICES}
-    assert outcomes == {i: _outcome(lambda: _conjugated_t_action(cartan, i)) for i in SIMPLE_INDICES}
+    matches = {i: outcomes[i] == reflection(rs, i) for i in SIMPLE_INDICES}
+    assert all(matches.values()) == (rows == "solved")
     assert any(isinstance(o, str) for o in outcomes.values()) == (rows == "printed")
-
-
-def test_t_actions_stay_in_integers(monkeypatch, cartan):
-    def no_fraction(cls, *args, **kwargs):
-        raise AssertionError("a Fraction was built")
-
-    monkeypatch.setattr(ch, "OMEGA_OF_T", None)
-    monkeypatch.setattr(Fraction, "__new__", no_fraction)
-    acts = ch.t_actions(cartan)
-    monkeypatch.undo()
-    assert acts == EXPECTED_T_ACTIONS
 
 
 def test_duality_exhaustive(cartan):

@@ -1,8 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
-from d4check import cohomring, linalg, obstruct, pontsolve, rootsys, vect4
+from d4check import cohomring, obstruct, pontsolve, rootsys, vect4
 
 
 def test_restrict_euler_to_second_sphere():
@@ -23,8 +21,12 @@ def test_restrict_rejects_nonsimple():
         obstruct.restrict((1, 0, 0, 0), 4)
 
 
-def test_details_render_exact_rationals():
-    assert obstruct._exact([(Fraction(1, 2), Fraction(-3))]) == "[(1/2, -3)]"
+def test_details_render_integers():
+    # every computed number is an int, so str renders it exactly
+    details = {c.id: c.detail for c in obstruct.theorem_pipeline().checks}
+    assert details["pontryagin-solver"] == "nullspace basis [[-1, -1, 1, 1]]"
+    assert details["bundle-classes"] == "euler (2, -1, 0, 0), p1 per unit k (0, 2, 0, -2)"
+    assert details["focal-table"].endswith("focal sum [(0, 0, 0), (-1, 0, -1), (-2, 0, -2), (-3, 0, -3)]")
 
 
 def test_pipeline_obstructed():
@@ -97,7 +99,6 @@ def _printed_basis_rows(monkeypatch):
     # the printed rows for t3 and t4 give actions that are not signed permutations
     printed = [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 2]]
     monkeypatch.setattr(cohomring, "T_OF_OMEGA", printed)
-    monkeypatch.setattr(cohomring, "OMEGA_OF_T", linalg.invert(printed))
 
 
 def _root_coords(index, coords):
@@ -110,15 +111,18 @@ def _root_coords(index, coords):
 
 
 def _perturbed_omega_of_t(monkeypatch):
-    rows = [row[:] for row in cohomring.OMEGA_OF_T]
+    # the rows of T_OF_OMEGA are the omega coordinates of t1..t4
+    rows = [row[:] for row in cohomring.T_OF_OMEGA]
     rows[0][0] += 1
-    monkeypatch.setattr(cohomring, "OMEGA_OF_T", rows)
+    monkeypatch.setattr(cohomring, "T_OF_OMEGA", rows)
 
 
 #: fault -> (plant it, the check id that must fail, text that check's detail contains);
 #: every planted fault must end the run FAILED, never in an exception
 PLANTED_FAULTS = {
     "printed-basis-rows": (_printed_basis_rows, "t-actions", "is not a signed permutation"),
+    # with the printed rows, simple roots 2 and 3 do not land on their Cartan rows
+    "printed-basis-rows-roundtrip": (_printed_basis_rows, "basis-roundtrip", "(-1, 2, -1, 0), (0, -1, 2, -2)"),
     # the Cartan matrix is computed from the roots, not taken from a table;
     # the ninth root should be (0, 0, 1, 1)
     "ninth-root": (_root_coords(8, (0, 0, 0, 1)), "cartan-matrix", ""),
@@ -154,7 +158,19 @@ PLANTED_FAULTS = {
         "leaf-restrictions",
         "acts: t-action of generator 1 is not a signed permutation",
     ),
-    "omega-of-t-entry": (_perturbed_omega_of_t, "basis-roundtrip", ""),
+    "omega-of-t-entry": (_perturbed_omega_of_t, "basis-roundtrip", "(3, -1, 0, 0)"),
+    # signs other than +-1 close to no finite group; the closure stops at 2^4 * 4! elements
+    "generator-sign-two": (
+        lambda mp: mp.setattr(
+            rootsys,
+            "simple_generators",
+            lambda rs, build=rootsys.simple_generators: {
+                **build(rs), 1: rootsys.TSignedPerm((1, 0, 2, 3), (2, 1, 1, 1))
+            },
+        ),
+        "weyl-order",
+        "more than 2^4 * 4! = 384 signed permutations",
+    ),
     # Lemma 5: the sign flips of generator 9 are what keep e1 from being fully invariant
     "unsigned-substitution": (
         lambda mp: mp.setattr(
@@ -174,6 +190,17 @@ PLANTED_FAULTS = {
         lambda mp: mp.setitem(pontsolve.TABLE_FOCAL, 8, ("k", "k", "-k", "-k4")),
         "focal-table",
         "8: False",
+    ),
+    # a table row that is missing is no row that matches
+    "orbit-table-row-dropped": (
+        lambda mp: mp.delitem(pontsolve.TABLE_AFTER_LEAF, 4),
+        "orbit-table",
+        "expected 1..12",
+    ),
+    "focal-table-row-dropped": (
+        lambda mp: mp.delitem(pontsolve.TABLE_FOCAL, 10),
+        "focal-table",
+        "expected 7..12",
     ),
     # (3, 1, 2) would be an equivalent reduced word and rightly pass
     "word-table-entry": (
@@ -212,7 +239,7 @@ PLANTED_FAULTS = {
     ),
     # a line with lead coordinate 0 cannot be scaled to (1, 1, -1, -1)
     "solution-lead-zero": (
-        lambda mp: mp.setattr(pontsolve, "solve", lambda eqs: [[Fraction(n) for n in (0, 1, -1, -1)]]),
+        lambda mp: mp.setattr(pontsolve, "solve", lambda eqs: [[0, 1, -1, -1]]),
         "pontryagin-solver",
         "unexpected solution line",
     ),

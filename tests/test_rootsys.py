@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -127,6 +131,19 @@ def test_stabilizer_is_exact(rs, gens, group):
 
 def test_empty_generator_set():
     assert rootsys.enumerate_group({}) == {identity_element(): ()}
+
+
+def test_closure_stops_past_all_signed_permutations():
+    # a sign of 2 makes a new element at every step; the child process has its
+    # memory capped and a timeout, so an unbounded closure fails instead of hanging
+    code = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); "
+        "from d4check.rootsys import TSignedPerm, enumerate_group; "
+        "enumerate_group({1: TSignedPerm((0, 1, 2, 3), (2, 1, 1, 1))})"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rootsys.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.stderr.endswith("ValueError: the generators give more than 2^4 * 4! = 384 signed permutations\n")
 
 
 def test_orbit_of_first_root(rs, group):
