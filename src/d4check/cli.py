@@ -90,8 +90,8 @@ def _cmd_tables(which: str) -> int:
     return 0
 
 
-def _emit(rep: VerificationReport, args, ok: bool) -> int:
-    """Print the report and copy it to ``--out``: 0 if ``ok``, else 1; 2 if ``--out`` fails."""
+def _emit(rep: VerificationReport, args) -> int:
+    """Print the report and copy it to ``--out``: 0 if no check failed, else 1; 2 if ``--out`` fails."""
     text = report.render(rep, args.format)
     print(text)
     if args.out:
@@ -101,7 +101,7 @@ def _emit(rep: VerificationReport, args, ok: bool) -> int:
         except OSError as exc:
             print(f"d4check: error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
-    return 0 if ok else 1
+    return 0 if rep.all_passed() else 1
 
 
 def main(argv=None) -> int:
@@ -119,28 +119,22 @@ def main(argv=None) -> int:
     if args.command == "tables":
         return _cmd_tables(args.which)
 
-    if args.command in ("verify-all", "verify"):
-        if args.window < 4:
-            parser.error(f"--window must be >= 4, got {args.window}")
-        run = obstruct.Run(args.window, args.no_symmetry_constraint, args.skip_window_checks)
-        if args.command == "verify-all":
-            rep = obstruct.theorem_pipeline(run.window, run.disable_symmetry, run.skip_window)
-            return _emit(rep, args, rep.all_passed())
-        if args.check_id not in CHECK_IDS:
-            parser.error(f"unknown check-id: {args.check_id}")
-        for switch, on, omitted in (
-            ("--no-symmetry-constraint", run.disable_symmetry, obstruct.omitted_ids(disable_symmetry=True)),
-            ("--skip-window-checks", run.skip_window, obstruct.omitted_ids(skip_window=True)),
-        ):
-            if on and args.check_id in omitted:
-                parser.error(f"{switch} leaves check {args.check_id} out of the run")
-        rep = obstruct.run_checks([c for c in run.selected() if c.id == args.check_id], run)
-        # an erratum noted after the check is no part of its record
-        rep.checks = [c for c in rep.checks if c.id == args.check_id]
-        return _emit(rep, args, rep.all_passed())
-
-    parser.error(f"unknown command: {args.command}")
-    return 2
+    if args.window < 4:
+        parser.error(f"--window must be >= 4, got {args.window}")
+    if args.command == "verify-all":
+        rep = obstruct.theorem_pipeline(args.window, args.no_symmetry_constraint, args.skip_window_checks)
+        return _emit(rep, args)
+    if args.check_id not in CHECK_IDS:
+        parser.error(f"unknown check-id: {args.check_id}")
+    run = obstruct.Run(args.window, args.no_symmetry_constraint, args.skip_window_checks)
+    checks = [c for c in run.selected() if c.id == args.check_id]
+    if not checks:
+        switch = "--no-symmetry-constraint" if run.disable_symmetry else "--skip-window-checks"
+        parser.error(f"{switch} leaves check {args.check_id} out of the run")
+    rep = obstruct.run_checks(checks, run)
+    # an erratum noted after the check is no part of its record
+    rep.checks = [c for c in rep.checks if c.id == args.check_id]
+    return _emit(rep, args)
 
 
 if __name__ == "__main__":

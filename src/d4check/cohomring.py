@@ -4,10 +4,11 @@ A cohomology class is an integer 4-tuple in the omega basis and a homology
 class is a 4-tuple over the dual leaf-sphere basis (b1, b2, b3, b9); entry r
 belongs to the r-th simple index of (1, 2, 3, 9).  The variables t1..t4 are
 the normal-plane coordinates e_1..e_4, and ``omega_from_t`` turns t
-coordinates into omega coordinates in integers.  The polynomial ring in
-t1..t4 carries the induced signed-permutation action, and the elementary
-symmetric functions e_i and their squared-variable analogues theta_i are the
-invariants of interest.
+coordinates into omega coordinates in integers.  A polynomial in t1..t4 is a
+plain dict from exponent 4-tuples to nonzero ints, and ``expand`` is its one
+arithmetic routine.  Signed permutations act on polynomials by substitution,
+and the elementary symmetric functions e_i and their squared-variable
+analogues theta_i are the invariants of interest.
 """
 
 from __future__ import annotations
@@ -113,89 +114,63 @@ def t_actions(cartan: CartanMatrix) -> dict[int, TSignedPerm]:
 # Polynomials in t1..t4
 
 
-class Polynomial:
-    """Sparse polynomial in t1..t4 with integer coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for expo, coeff in (terms or {}).items():
-            if coeff != 0:
-                clean[tuple(expo)] = coeff
-        self.terms = clean
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
+def expand(*terms) -> dict:
+    """The sum of c * f_1 * ... * f_n over the terms ``(c, f_1, ..., f_n)``, zero terms dropped."""
+    out: dict[tuple, int] = {}
+    for c, *factors in terms:
+        prod = {(0, 0, 0, 0): c}
+        for f in factors:
+            step: dict[tuple, int] = {}
+            for e1, c1 in prod.items():
+                for e2, c2 in f.items():
+                    expo = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+                    step[expo] = step.get(expo, 0) + c1 * c2
+            prod = step
+        for expo, coeff in prod.items():
             out[expo] = out.get(expo, 0) + coeff
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict[tuple, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                out[expo] = out.get(expo, 0) + c1 * c2
-        return Polynomial(out)
-
-    def scale(self, c: int) -> "Polynomial":
-        return Polynomial({e: c * v for e, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        return f"Polynomial({self.terms})"
+    return {expo: coeff for expo, coeff in out.items() if coeff}
 
 
-def _symmetric(i: int, power: int) -> Polynomial:
+def _symmetric(i: int, power: int) -> dict:
     """The i-th elementary symmetric function in t1^power..t4^power."""
     combos = itertools.combinations(range(4), i)
-    return Polynomial({tuple(power if j in c else 0 for j in range(4)): 1 for c in combos})
+    return {tuple(power if j in c else 0 for j in range(4)): 1 for c in combos}
 
 
-def elementary_symmetric(i: int) -> Polynomial:
+def elementary_symmetric(i: int) -> dict:
     if not 1 <= i <= 4:
         raise ValueError(f"index out of range: {i}")
     return _symmetric(i, 1)
 
 
-def theta(i: int) -> Polynomial:
+def theta(i: int) -> dict:
     """Elementary symmetric function in the squared variables."""
     if not 1 <= i <= 3:
         raise ValueError(f"index out of range: {i}")
     return _symmetric(i, 2)
 
 
-def act_on_polynomial(sp: TSignedPerm, p: Polynomial) -> Polynomial:
+def act_on_polynomial(sp: TSignedPerm, p: dict) -> dict:
     """Substitute each t_j by its image under ``sp``, extended multiplicatively.
 
     ``sp.apply`` moves each exponent to its variable's image (the signs it
     puts on them are dropped); the term picks up the sign prod_j signs[j]^e_j.
     """
-    return Polynomial({
+    return {
         tuple(map(abs, sp.apply(expo))): math.prod(s**e for s, e in zip(sp.signs, expo)) * coeff
-        for expo, coeff in p.terms.items()
-    })
+        for expo, coeff in p.items()
+    }
 
 
-def is_invariant(p: Polynomial, generators) -> bool:
+def is_invariant(p: dict, generators) -> bool:
     return all(act_on_polynomial(g, p) == p for g in generators)
 
 
 def verify_theta_identities() -> dict[str, bool]:
     """The three expansions of theta_i in the elementary symmetric functions."""
     e = {i: elementary_symmetric(i) for i in range(1, 5)}
-    checks = {
-        "theta1": theta(1) - (e[1] * e[1] - e[2].scale(2)),
-        "theta2": theta(2) - (e[2] * e[2] - (e[1] * e[3]).scale(2) + e[4].scale(2)),
-        "theta3": theta(3) - (e[3] * e[3] - (e[2] * e[4]).scale(2)),
+    return {
+        "theta1": expand((1, theta(1)), (-1, e[1], e[1]), (2, e[2])) == {},
+        "theta2": expand((1, theta(2)), (-1, e[2], e[2]), (2, e[1], e[3]), (-2, e[4])) == {},
+        "theta3": expand((1, theta(3)), (-1, e[3], e[3]), (2, e[2], e[4])) == {},
     }
-    return {name: diff.is_zero() for name, diff in checks.items()}

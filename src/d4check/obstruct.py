@@ -49,9 +49,6 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
-    def failed_ids(self) -> list[str]:
-        return [c.id for c in self.checks if c.status == "fail"]
-
 
 # ---------------------------------------------------------------------------
 # The check list
@@ -361,12 +358,6 @@ CHECKS = (
 
 #: Canonical check ids, in certificate order.
 CHECK_IDS = list(dict.fromkeys(c.id for c in CHECKS))
-
-
-def omitted_ids(**switches) -> list[str]:
-    """The check ids a run with these switches leaves out."""
-    kept = {c.id for c in Run(**switches).selected()}
-    return [i for i in CHECK_IDS if i not in kept]
 
 
 def run_checks(checks: list[Check], run: Run) -> VerificationReport:

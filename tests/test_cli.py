@@ -204,6 +204,15 @@ def test_switch_suppressing_check_exits_2(capsys, check_id, switch):
     assert switch in err and check_id in err
 
 
+def test_both_switches_name_the_symmetry_switch(capsys):
+    # the window check is left out by either switch; the symmetry switch is named first
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "exact-sequence-window", "--no-symmetry-constraint", "--skip-window-checks"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--no-symmetry-constraint leaves check exact-sequence-window out of the run" in err
+
+
 def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "report.txt"
     code = main(["verify", "weyl-order", "--out", str(target)])

@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from d4check import cohomring as ch
-from d4check.cohomring import Polynomial, TSignedPerm
+from d4check.cohomring import TSignedPerm
 from d4check.rootsys import (
     SIMPLE_INDICES,
     build_d4,
@@ -183,19 +185,11 @@ def test_braid_relations_on_t(acts):
 
 
 def test_elementary_symmetric_e1():
-    e1 = ch.elementary_symmetric(1)
-    expected = (
-        Polynomial({(1, 0, 0, 0): 1})
-        + Polynomial({(0, 1, 0, 0): 1})
-        + Polynomial({(0, 0, 1, 0): 1})
-        + Polynomial({(0, 0, 0, 1): 1})
-    )
-    assert e1 == expected
+    assert ch.elementary_symmetric(1) == {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1}
 
 
 def test_theta1_shape():
-    t1 = ch.theta(1)
-    assert t1.terms == {
+    assert ch.theta(1) == {
         (2, 0, 0, 0): 1,
         (0, 2, 0, 0): 1,
         (0, 0, 2, 0): 1,
@@ -213,13 +207,7 @@ def test_theta_identities():
 
 def test_act_on_e1_by_sign_flip(rs, acts):
     image = ch.act_on_polynomial(acts[9], ch.elementary_symmetric(1))
-    expected = (
-        Polynomial({(1, 0, 0, 0): 1})
-        + Polynomial({(0, 1, 0, 0): 1})
-        - Polynomial({(0, 0, 1, 0): 1})
-        - Polynomial({(0, 0, 0, 1): 1})
-    )
-    assert image == expected
+    assert image == {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): -1, (0, 0, 0, 1): -1}
 
 
 def test_e4_invariant_under_all(rs, acts):
@@ -240,14 +228,76 @@ def test_invariance_suite(rs, acts):
     for i in range(1, 5):
         assert ch.is_invariant(ch.elementary_symmetric(i), stab)
     assert not ch.is_invariant(ch.elementary_symmetric(1), [acts[9]])
-    assert ch.is_invariant(Polynomial({(0, 0, 0, 0): 7}), full)
+    assert ch.is_invariant({(0, 0, 0, 0): 7}, full)
 
 
 def test_polynomial_action_is_multiplicative(acts):
     p = ch.elementary_symmetric(2)
     q = ch.theta(1)
     for sp in acts.values():
-        lhs = ch.act_on_polynomial(sp, p * q)
-        rhs = ch.act_on_polynomial(sp, p) * ch.act_on_polynomial(sp, q)
+        lhs = ch.act_on_polynomial(sp, ch.expand((1, p, q)))
+        rhs = ch.expand((1, ch.act_on_polynomial(sp, p), ch.act_on_polynomial(sp, q)))
         assert lhs == rhs
+
+
+def test_expand_drops_zero_coefficients():
+    e1 = ch.elementary_symmetric(1)
+    assert ch.expand() == {}
+    assert ch.expand((0,)) == {}
+    assert ch.expand((3,)) == {(0, 0, 0, 0): 3}
+    assert ch.expand((1, e1), (-1, e1)) == {}
+    assert ch.expand((2, e1), (-1, e1)) == e1
+    # (t1 + t2)(t1 - t2) = t1^2 - t2^2: the cross terms cancel
+    plus, minus = {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}, {(1, 0, 0, 0): 1, (0, 1, 0, 0): -1}
+    assert ch.expand((1, plus, minus)) == {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1}
+
+
+# -- sympy as an independent oracle (skipped without sympy) -----------------
+
+
+exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * 4)
+polynomials = st.dictionaries(exponents, st.integers(min_value=-3, max_value=3).filter(bool), max_size=3)
+terms = st.tuples(st.integers(min_value=-3, max_value=3), st.lists(polynomials, max_size=3)).map(
+    lambda t: (t[0], *t[1])
+)
+
+
+def _to_expr(sympy, t, p):
+    return sum((c * sympy.prod(x**k for x, k in zip(t, expo)) for expo, c in p.items()), sympy.Integer(0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(terms, max_size=3))
+def test_expand_matches_sympy(ts):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t1:5")
+    expr = sum((c * sympy.prod(_to_expr(sympy, t, f) for f in fs) for c, *fs in ts), sympy.Integer(0))
+    got = ch.expand(*ts)
+    assert got == sympy.Poly(expr, *t).as_dict()
+    assert all(type(c) is int and c != 0 for c in got.values())
+
+
+def test_theta_expansions_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t1:5")
+    e = {i: sum(sympy.prod(c) for c in itertools.combinations(t, i)) for i in range(1, 5)}
+    th = {i: sum(sympy.prod(x**2 for x in c) for c in itertools.combinations(t, i)) for i in range(1, 4)}
+    assert sympy.expand(th[1] - (e[1] ** 2 - 2 * e[2])) == 0
+    assert sympy.expand(th[2] - (e[2] ** 2 - 2 * e[1] * e[3] + 2 * e[4])) == 0
+    assert sympy.expand(th[3] - (e[3] ** 2 - 2 * e[2] * e[4])) == 0
+    # and the dicts d4check builds are these polynomials
+    assert all(_to_expr(sympy, t, ch.elementary_symmetric(i)) == e[i] for i in e)
+    assert all(_to_expr(sympy, t, ch.theta(i)) == th[i] for i in th)
+
+
+@settings(max_examples=50, deadline=None)
+@given(polynomials)
+def test_act_on_polynomial_matches_sympy_subs(acts, p):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t1:5")
+    for sp in acts.values():
+        # t_j -> signs[j] * t_perm[j], all four at once
+        images = {t[j]: s * t[k] for j, (k, s) in enumerate(zip(sp.perm, sp.signs))}
+        expected = sympy.expand(_to_expr(sympy, t, p).subs(images, simultaneous=True))
+        assert _to_expr(sympy, t, ch.act_on_polynomial(sp, p)) == expected
 

@@ -33,7 +33,7 @@ def test_pipeline_obstructed():
     rep = obstruct.theorem_pipeline()
     assert rep.theorem_status == "OBSTRUCTED"
     assert rep.all_passed()
-    assert rep.failed_ids() == []
+    assert [c.id for c in rep.checks if c.status == "fail"] == []
 
 
 def test_pipeline_check_ids_are_unique_and_known():
@@ -181,6 +181,17 @@ PLANTED_FAULTS = {
         "invariance-suite",
         "",
     ),
+    # theta_i without the squares is e_i, which none of the three expansions gives
+    "theta-unsquared": (
+        lambda mp: mp.setattr(cohomring, "theta", cohomring.elementary_symmetric),
+        "theta-identities",
+        "{'theta1': False, 'theta2': False, 'theta3': False}",
+    ),
+    "theta-unsquared-invariance": (
+        lambda mp: mp.setattr(cohomring, "theta", cohomring.elementary_symmetric),
+        "invariance-suite",
+        "",
+    ),
     "orbit-table-sign": (
         lambda mp: mp.setitem(pontsolve.TABLE_AFTER_LEAF, 4, ("-k", "k3", "k", "k4")),
         "orbit-table",
@@ -252,7 +263,7 @@ def test_planted_fault_fails_named_check(monkeypatch, fault):
     plant(monkeypatch)
     rep = obstruct.theorem_pipeline()
     assert rep.theorem_status == "FAILED"
-    assert check_id in rep.failed_ids()
+    assert check_id in [c.id for c in rep.checks if c.status == "fail"]
     rec = next(c for c in rep.checks if c.id == check_id)
     assert detail in rec.detail
 
@@ -270,7 +281,7 @@ def test_planted_fault_fails_without_symmetry(monkeypatch, fault):
     plant(monkeypatch)
     rep = obstruct.theorem_pipeline(disable_symmetry=True)
     assert rep.theorem_status == "FAILED"
-    assert check_id in rep.failed_ids()
+    assert check_id in [c.id for c in rep.checks if c.status == "fail"]
 
 
 #: the checks that read the t-actions, directly or through the objects built from them

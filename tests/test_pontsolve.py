@@ -73,7 +73,7 @@ def test_pullback_and_substitution_act_on_the_left(acts):
     group = enumerate_group(acts)
     assert len(group) == 192
     generic = ps.generic_class()
-    p = ch.elementary_symmetric(2) * ch.theta(1)
+    p = ch.expand((1, ch.elementary_symmetric(2), ch.theta(1)))
     for a in acts.values():
         for b in group:
             ab = compose(a, b)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from d4check import rootsys
+from d4check.obstruct import EXPECTED_CARTAN
 from d4check.rootsys import build_d4, compose, identity_element, inner
 
 
@@ -193,8 +194,35 @@ vectors = st.tuples(rational, rational, rational, rational).map(
 
 
 @given(vectors, vectors, st.integers(min_value=0, max_value=191))
-def test_group_acts_by_isometries(u, v, n):
-    rs = build_d4()
-    group = rootsys.enumerate_group(rootsys.simple_generators(rs))
+def test_group_acts_by_isometries(group, u, v, n):
     w = list(group)[n]
     assert inner(w.apply(u), w.apply(v)) == inner(u, v)
+
+
+# -- sympy.liealgebras as an independent oracle (skipped without sympy) -----
+
+
+def test_cartan_matrix_matches_sympy(rs):
+    cartan_matrix = pytest.importorskip("sympy.liealgebras.cartan_matrix")
+    expected = cartan_matrix.CartanMatrix("D4").tolist()
+    assert expected == EXPECTED_CARTAN
+    assert rootsys.simple_cartan_matrix(rs) == expected
+
+
+def test_simple_roots_match_sympy(rs):
+    root_system = pytest.importorskip("sympy.liealgebras.root_system")
+    simple = [tuple(r) for r in root_system.RootSystem("D4").simple_roots().values()]
+    assert simple == [rs[i - 1] for i in (1, 2, 3, 9)]
+    assert rootsys.SIMPLE_INDICES == (1, 2, 3, 9)
+
+
+def test_all_roots_match_sympy(rs, group):
+    root_system = pytest.importorskip("sympy.liealgebras.root_system")
+    roots = [tuple(r) for r in root_system.RootSystem("D4").all_roots().values()]
+    assert len(roots) == 24
+    assert set(roots) == rootsys.orbit(group, rs[0])
+
+
+def test_group_order_matches_sympy(group):
+    weyl_group = pytest.importorskip("sympy.liealgebras.weyl_group")
+    assert int(weyl_group.WeylGroup("D4").group_order()) == len(group) == 192
