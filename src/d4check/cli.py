@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_one.add_argument("check_id", metavar="CHECK_ID", help=f"one of: {', '.join(CHECK_IDS)}")
     add_common(p_one)
 
-    p_roots = sub.add_parser("roots", help="print the positive roots")
+    sub.add_parser("roots", help="print the positive roots")
 
     p_weyl = sub.add_parser("weyl", help="Weyl group information")
     p_weyl.add_argument("--order", action="store_true", help="print only the group order")
@@ -53,15 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _render_symbol_row(symbols) -> str:
-    terms = []
-    for i, s in enumerate(symbols):
-        sign = "-" if s.startswith("-") else "+"
-        name = s.lstrip("-")
-        terms.append((sign, f"{name}*t{i + 1}"))
-    text = ("-" if terms[0][0] == "-" else "") + terms[0][1]
-    for sign, term in terms[1:]:
-        text += f" {sign} {term}"
-    return text
+    return " + ".join(f"{s}*t{i}" for i, s in enumerate(symbols, start=1)).replace("+ -", "- ")
 
 
 def _cmd_roots() -> int:

@@ -3,40 +3,33 @@
 A candidate class k1*t1 + k2*t2 + k3*t3 + k4*t4 is pushed around the root
 orbit by composed pullbacks, then constrained three ways: triviality on the
 base leaf sphere, vanishing of the total tangent-bundle class, and symmetry
-of the focal-manifold part.  The linear forms have integer coefficients, and
-integer elimination (``linalg``) leaves a one-dimensional solution line
-spanned by (1, 1, -1, -1).
+of the focal-manifold part.  Each constraint is a row of integer
+coefficients, a plain 4-tuple, and integer elimination (``linalg``) leaves a
+one-dimensional solution line spanned by (1, 1, -1, -1).
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from . import linalg
 from .cohomring import T_OF_OMEGA, euler_class_d, omega_from_t
 from .rootsys import WORD_TABLE, CartanMatrix, TSignedPerm, element_from_word
 
-# Linear form over the unknowns (k1, k2, k3, k4).
+# Linear form over the unknowns (k1, k2, k3, k4); a constraint row is one.
 LinForm = tuple[int, int, int, int]
 
 # A t-basis class whose coefficients are linear forms in the unknowns:
 # entry i is the coefficient form of t_{i+1}.
 SymbolicClass = tuple[LinForm, LinForm, LinForm, LinForm]
 
-ZERO_FORM: LinForm = (0,) * 4
-
-
-def _unit(i: int) -> LinForm:
-    return tuple(1 if j == i else 0 for j in range(4))
-
 
 def generic_class() -> SymbolicClass:
     """k1*t1 + k2*t2 + k3*t3 + k4*t4 with independent unknowns."""
-    return tuple(_unit(i) for i in range(4))
+    return ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
-def _add(f: LinForm, g: LinForm) -> LinForm:
-    return tuple(a + b for a, b in zip(f, g))
+def _sum(classes) -> SymbolicClass:
+    """The sum of symbolic classes, one coefficient form at a time."""
+    return tuple(tuple(map(sum, zip(*forms))) for forms in zip(*classes))
 
 
 def apply_pullback(sp: TSignedPerm, cls: SymbolicClass) -> SymbolicClass:
@@ -63,74 +56,53 @@ def orbit_classes(acts: dict[int, TSignedPerm]) -> dict[int, SymbolicClass]:
     }
 
 
-class Equation(NamedTuple):
-    """Homogeneous linear equation over (k1, k2, k3, k4) with provenance."""
-
-    coeffs: LinForm
-    label: str
-
-    def is_trivial(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-
-def leaf_sphere_constraint() -> Equation:
+def leaf_sphere_constraint() -> LinForm:
     """Stable triviality of the base leaf sphere: the pairing with b1 vanishes.
 
     The pairing of t_i with b_1 is the first omega coordinate of t_i.
     """
-    coeffs = tuple(T_OF_OMEGA[i][0] for i in range(4))
-    return Equation(coeffs, "leaf-sphere pairing <p1, b1> = 0")
+    return tuple(T_OF_OMEGA[i][0] for i in range(4))
 
 
-def sum_zero_constraint(classes: dict[int, SymbolicClass]) -> list[Equation]:
+def sum_zero_constraint(classes: dict[int, SymbolicClass]) -> list[LinForm]:
     """Vanishing of the total class: each t coefficient of the sum is zero."""
-    out = []
-    for i in range(4):
-        total = ZERO_FORM
-        for cls in classes.values():
-            total = _add(total, cls[i])
-        out.append(Equation(total, f"sum of all 12 classes, t{i + 1} coefficient"))
-    return out
+    return list(_sum(classes.values()))
 
 
 def focal_sum(classes: dict[int, SymbolicClass]) -> SymbolicClass:
-    total: SymbolicClass = (ZERO_FORM,) * 4
-    for idx in range(7, 13):
-        total = tuple(_add(a, b) for a, b in zip(total, classes[idx]))
-    return total
+    return _sum(classes[idx] for idx in range(7, 13))
 
 
-def symmetry_constraint(classes: dict[int, SymbolicClass], acts: dict[int, TSignedPerm]) -> list[Equation]:
+def symmetry_constraint(classes: dict[int, SymbolicClass], acts: dict[int, TSignedPerm]) -> list[LinForm]:
     """The focal part (roots 7..12) must be a symmetric function of the t_i.
 
     The stabilizer generators 1, 2 and 3 act on t by the transpositions of
     adjacent variables, which generate the full symmetric group, so
-    invariance under those three suffices.
+    invariance under those three suffices.  Four rows per generator, one per
+    t coefficient of image minus focal sum.
     """
     total = focal_sum(classes)
-    out = []
-    for g in (1, 2, 3):
-        image = apply_pullback(acts[g], total)
-        for i in range(4):
-            diff = tuple(a - b for a, b in zip(image[i], total[i]))
-            out.append(Equation(diff, f"focal sum symmetry under generator {g}, t{i + 1} coefficient"))
-    return out
+    return [
+        tuple(a - b for a, b in zip(image, form))
+        for g in (1, 2, 3)
+        for image, form in zip(apply_pullback(acts[g], total), total)
+    ]
 
 
 def assemble_constraints(
     classes: dict[int, SymbolicClass], acts: dict[int, TSignedPerm], include_symmetry: bool = True
-) -> list[Equation]:
-    """The constraint system over the orbit classes of the generic class."""
-    eqs = [leaf_sphere_constraint()]
-    eqs += sum_zero_constraint(classes)
+) -> list[LinForm]:
+    """The constraint rows over the orbit classes of the generic class."""
+    rows = [leaf_sphere_constraint()]
+    rows += sum_zero_constraint(classes)
     if include_symmetry:
-        eqs += symmetry_constraint(classes, acts)
-    return eqs
+        rows += symmetry_constraint(classes, acts)
+    return rows
 
 
-def solve(equations: list[Equation]) -> linalg.Matrix:
-    """Exact integer nullspace basis of the constraint system over (k1..k4)."""
-    return linalg.nullspace([list(eq.coeffs) for eq in equations])
+def solve(rows: list[LinForm]) -> linalg.Matrix:
+    """Exact integer nullspace basis of the constraint rows over (k1..k4)."""
+    return linalg.nullspace(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +151,7 @@ def _symbol_form(sym: str) -> LinForm:
     """A table symbol as a form over (k1, k2, k3, k4); "k" stands for k1."""
     sign = -1 if sym.startswith("-") else 1
     i = {"k": 0, "k3": 2, "k4": 3}[sym.lstrip("-")]
-    return tuple(sign * x for x in _unit(i))
+    return tuple(sign if j == i else 0 for j in range(4))
 
 
 def _match_table(table: dict, rows: range, classes: dict[int, SymbolicClass], k3_is_minus_k: bool) -> dict:

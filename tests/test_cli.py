@@ -83,6 +83,22 @@ def test_verify_id_record_matches_verify_all(capsys, full_report, check_id):
     assert json.loads(out)["checks"] == [c for c in full if c["id"] == check_id]
 
 
+@pytest.mark.parametrize(
+    "switch, kept",
+    [(["--no-symmetry-constraint"], 14), (["--skip-window-checks"], 18), (["--window", "7"], 19)],
+    ids=["no-symmetry", "skip-window", "window-7"],
+)
+def test_verify_id_record_matches_verify_all_under_switch(capsys, switch, kept):
+    _, out = run_cli(capsys, "verify-all", *switch, "--format", "json")
+    full = json.loads(out)["checks"]
+    ids = [check_id for check_id in CHECK_IDS if any(c["id"] == check_id for c in full)]
+    assert len(ids) == kept
+    for check_id in ids:
+        code, out = run_cli(capsys, "verify", check_id, *switch, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["checks"] == [c for c in full if c["id"] == check_id]
+
+
 def test_verify_builds_only_what_its_check_reads(capsys, monkeypatch):
     def unexpected(*args):
         raise AssertionError("not read by cartan-matrix")

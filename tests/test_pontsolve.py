@@ -82,19 +82,40 @@ def test_pullback_and_substitution_act_on_the_left(acts):
 
 
 def test_leaf_sphere_constraint():
-    eq = ps.leaf_sphere_constraint()
-    assert eq.coeffs == (1, -1, 0, 0)
+    assert ps.leaf_sphere_constraint() == (1, -1, 0, 0)
 
 
 def test_sum_zero_constraints(classes):
-    eqs = ps.sum_zero_constraint(classes)
-    # t1 column: 6k + 6k3, the equation that forces k3 = -k
-    assert eqs[0].coeffs == (6, 0, 6, 0)
+    rows = ps.sum_zero_constraint(classes)
+    # t1 column: 6k + 6k3, the row that forces k3 = -k
+    assert rows[0] == (6, 0, 6, 0)
     # t2 and t3 columns are scalar multiples of it (redundant after k3 = -k)
-    assert eqs[1].coeffs == (4, 0, 4, 0)
-    assert eqs[2].coeffs == (2, 0, 2, 0)
+    assert rows[1] == (4, 0, 4, 0)
+    assert rows[2] == (2, 0, 2, 0)
     # t4 column cancels identically
-    assert eqs[3].is_trivial()
+    assert rows[3] == (0, 0, 0, 0)
+
+
+def test_symmetry_rows(acts, classes):
+    # stabilizer generator g swaps t_g and t_{g+1}, so of its four rows (image
+    # minus focal sum, per t coefficient) those two are -(1, 1, 1, 1) and
+    # (1, 1, 1, 1), and the other two vanish
+    rows = ps.symmetry_constraint(classes, acts)
+    assert len(rows) == 12
+    for g in (1, 2, 3):
+        expected = [(0, 0, 0, 0)] * 4
+        expected[g - 1], expected[g] = (-1, -1, -1, -1), (1, 1, 1, 1)
+        assert rows[4 * (g - 1):4 * g] == expected
+
+
+def test_constraint_system_rows(acts, classes):
+    # leaf row, four sum-zero rows, twelve symmetry rows; seven of them vanish
+    rows = ps.assemble_constraints(classes, acts)
+    groups = [ps.leaf_sphere_constraint()], ps.sum_zero_constraint(classes), ps.symmetry_constraint(classes, acts)
+    assert rows == [row for group in groups for row in group]
+    assert len(rows) == 17
+    assert sum(not any(row) for row in rows) == 7
+    assert len(ps.assemble_constraints(classes, acts, include_symmetry=False)) == 5
 
 
 def test_focal_sum_factors(classes):
@@ -118,10 +139,9 @@ def test_symmetry_constraints_reduce_to_k4(acts, classes):
 
 
 def test_solution_annihilates_every_constraint(acts, classes):
-    eqs = ps.assemble_constraints(classes, acts, include_symmetry=True)
     v = [1, 1, -1, -1]
-    for eq in eqs:
-        assert sum(c * x for c, x in zip(eq.coeffs, v)) == 0
+    for row in ps.assemble_constraints(classes, acts, include_symmetry=True):
+        assert sum(c * x for c, x in zip(row, v)) == 0
 
 
 def test_without_symmetry_dimension_two(acts, classes):
