@@ -92,18 +92,74 @@ def test_exact_sequence_window():
     assert all(vect4.verify_exact_sequence(20).values())
 
 
-@pytest.mark.parametrize("window", [4, 5, 6, 7, 8, 9, 21])
+@pytest.mark.parametrize("window", [4, 5, 6, 7, 8, 9, 21, 200, 201])
 def test_exact_sequence_window_sizes(window):
     # odd windows included: the image is compared with the even integers of the box
     assert vect4.verify_exact_sequence(window) == dict.fromkeys(WINDOW_KEYS, True)
 
 
-@pytest.mark.parametrize("extra", [(-20, -19), (1, 0)])
+# (20, 19) is the last pair of the walk's last odd column
+@pytest.mark.parametrize("extra", [(-20, -19), (1, 0), (20, 19)])
 def test_exact_sequence_window_sees_one_extra_pair(monkeypatch, extra):
     # the realizable pairs of the box are compared with its lattice points one for one
     exact = vect4.is_realizable
     monkeypatch.setattr(vect4, "is_realizable", lambda a, b: (a, b) == extra or exact(a, b))
     assert vect4.verify_exact_sequence(20)["realizable_closed_under_group_ops"] is False
+
+
+#: one wrong datum for the window-20 walk: the function it is planted in, the fault, the key it flips
+WALK_FAULTS = {
+    "lattice-pair-dropped": (
+        "is_realizable",
+        lambda exact: lambda a, b: (a, b) != (2, 0) and exact(a, b),
+        "realizable_closed_under_group_ops",
+    ),
+    "point-mis-decomposed": (
+        "decompose",
+        lambda exact: lambda x: (0, 1) if x == (2, 0) else exact(x),
+        "decompose_roundtrip",
+    ),
+    "point-mis-stabilized": (
+        "stabilize",
+        lambda exact: lambda x: 21 if x == (-20, 20) else exact(x),
+        "image_is_even_integers",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(WALK_FAULTS))
+def test_exact_sequence_walk_sees_one_wrong_datum(monkeypatch, fault):
+    name, plant, key = WALK_FAULTS[fault]
+    monkeypatch.setattr(vect4, name, plant(getattr(vect4, name)))
+    assert vect4.verify_exact_sequence(20) == dict(dict.fromkeys(WINDOW_KEYS, True), **{key: False})
+
+
+def test_exact_sequence_walk_rejects_off_lattice_compose(monkeypatch):
+    # decompose raises on the off-lattice class; obstruct reports the check failed
+    exact = vect4.compose
+    monkeypatch.setattr(vect4, "compose", lambda n, m: (1, 0) if (n, m) == (1, 0) else exact(n, m))
+    with pytest.raises(ValueError, match=r"\(1, 0\)"):
+        vect4.verify_exact_sequence(20)
+
+
+# lattice points of the box |a|, |b| <= window
+@pytest.mark.parametrize("window, points", [(20, 431), (21, 451)])
+def test_exact_sequence_walk_call_counts(monkeypatch, window, points):
+    calls = dict.fromkeys(("is_realizable", "compose", "decompose", "stabilize"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(vect4, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(vect4, name, counted)
+    assert all(vect4.verify_exact_sequence(window).values())
+    # one call per pair of the box, one per lattice point, and the tau multiples of the kernel check
+    assert calls == {
+        "is_realizable": (2 * window + 1) ** 2,
+        "compose": points + 2 * (window // 2) + 1,
+        "decompose": points,
+        "stabilize": points,
+    }
 
 
 def test_leaf_congruence_odd():
