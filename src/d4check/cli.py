@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--window", type=int, default=20, metavar="N",
+        p.add_argument("--window", type=int, default=obstruct.DEFAULT_WINDOW, metavar="N",
                        help="half-width of the finite bundle-check window (>= 4)")
         p.add_argument("--no-symmetry-constraint", action="store_true",
                        help="diagnostic: drop the focal-symmetry constraint")
@@ -57,7 +57,7 @@ def _render_symbol_row(symbols) -> str:
 
 
 def _cmd_roots() -> int:
-    for i, root in enumerate(obstruct.Run().rs, start=1):
+    for i, root in obstruct.Run().rs.items():
         coords = ", ".join(str(c) for c in root)
         print(f"alpha_{i:<2} = ({coords})")
     print(f"simple indices: {SIMPLE_INDICES}")
@@ -89,7 +89,7 @@ def _emit(rep: VerificationReport, args) -> int:
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.write(text + "\n")
         except OSError as exc:
             print(f"d4check: error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
             return 2

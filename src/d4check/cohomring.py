@@ -62,10 +62,9 @@ def kronecker(c: tuple, h: tuple) -> int:
     return sum(a * b for a, b in zip(c, h))
 
 
-def kronecker_matrix(rs: tuple) -> list[list[int]]:
-    """Pairing of all twelve Euler classes against all twelve sphere classes."""
-    n = len(rs)
-    return [[cartan_number(rs, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+def kronecker_matrix(rs: dict[int, tuple]) -> dict[int, dict[int, int]]:
+    """Pairing of all twelve Euler classes against all twelve sphere classes, keyed by root labels."""
+    return {i: {j: cartan_number(rs, i, j) for j in rs} for i in rs}
 
 
 def euler_class_d(cartan: CartanMatrix, i: int) -> tuple:

@@ -38,10 +38,9 @@ class VerificationReport:
         self.checks: list[CheckRecord] = []
         self.theorem_status = "NOT-RUN"
 
-    def add(self, id: str, ref: str, statement: str, ok: bool, detail: str = "") -> bool:
+    def add(self, id: str, ref: str, statement: str, ok: bool, detail: str = "") -> None:
         status = "pass" if ok else "fail"
         self.checks.append(CheckRecord(id, ref, statement, status, detail))
-        return ok
 
     def note_erratum(self, id: str, ref: str, statement: str, detail: str) -> None:
         self.checks.append(CheckRecord(id, ref, statement, "noted-erratum", detail))
@@ -81,6 +80,10 @@ class _derived:
         return value
 
 
+#: Half-width of the box |a|, |b| <= window that ``exact-sequence-window`` checks.
+DEFAULT_WINDOW = 20
+
+
 class Run:
     """One certificate run: the switches and the objects its checks read.
 
@@ -89,7 +92,7 @@ class Run:
     reads.
     """
 
-    def __init__(self, window: int = 20, disable_symmetry: bool = False, skip_window: bool = False):
+    def __init__(self, window: int = DEFAULT_WINDOW, disable_symmetry: bool = False, skip_window: bool = False):
         self.window, self.disable_symmetry, self.skip_window = window, disable_symmetry, skip_window
 
     @_derived
@@ -184,19 +187,19 @@ def _word_table(run):
 
 
 def _root_orbit(run):
-    orb = rootsys.orbit(run.group, run.rs[0])
+    orb = rootsys.orbit(run.group, run.rs[1])
     return len(orb) == 24, f"orbit size {len(orb)}"
 
 
 def _kronecker_submatrix(run):
     km = cohomring.kronecker_matrix(run.rs)
-    sub = [[km[i - 1][j - 1] for j in SIMPLE_INDICES] for i in SIMPLE_INDICES]
+    sub = [[km[i][j] for j in SIMPLE_INDICES] for i in SIMPLE_INDICES]
     return sub == EXPECTED_CARTAN, f"submatrix {sub}"
 
 
 def _basis_roundtrip(run):
     # t is e: a simple root in t coordinates has its Cartan row as omega coordinates
-    images = [cohomring.omega_from_t(run.rs[i - 1]) for i in SIMPLE_INDICES]
+    images = [cohomring.omega_from_t(run.rs[i]) for i in SIMPLE_INDICES]
     return images == [tuple(row) for row in run.cartan], f"simple roots in omega coordinates {images}"
 
 
@@ -375,7 +378,7 @@ def run_checks(checks: list[Check], run: Run) -> VerificationReport:
 
 
 def theorem_pipeline(
-    window: int = 20,
+    window: int = DEFAULT_WINDOW,
     disable_symmetry: bool = False,
     skip_window: bool = False,
 ) -> VerificationReport:

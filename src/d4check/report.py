@@ -13,16 +13,7 @@ def to_json(rep: VerificationReport) -> str:
     payload = {
         "schema": SCHEMA_VERSION,
         "theorem": rep.theorem_status,
-        "checks": [
-            {
-                "id": c.id,
-                "ref": c.ref,
-                "statement": c.statement,
-                "status": c.status,
-                "detail": c.detail,
-            }
-            for c in rep.checks
-        ],
+        "checks": [c._asdict() for c in rep.checks],
     }
     return json.dumps(payload, indent=2)
 
@@ -33,8 +24,7 @@ _STATUS_MARK = {"pass": "ok  ", "fail": "FAIL", "noted-erratum": "note"}
 def to_text(rep: VerificationReport) -> str:
     lines = ["d4check verification report", ""]
     for c in rep.checks:
-        mark = _STATUS_MARK.get(c.status, c.status)
-        lines.append(f"[{mark}] {c.id} ({c.ref}): {c.statement}")
+        lines.append(f"[{_STATUS_MARK[c.status]}] {c.id} ({c.ref}): {c.statement}")
         if c.status == "noted-erratum":
             lines.append(f"       erratum: {c.ref} {c.detail}")
         elif c.detail:

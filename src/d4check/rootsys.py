@@ -3,7 +3,8 @@
 Everything is exact: a root is an integer 4-tuple in the orthonormal
 coordinates e_1..e_4 of the normal plane, so inner products, Cartan numbers
 and reflections are integers too; a quotient that is not exact raises
-ValueError.  Group elements are signed permutations of four coordinates,
+ValueError.  Like every per-root table, the roots are keyed by their printed
+labels 1..12.  Group elements are signed permutations of four coordinates,
 and group enumeration is a breadth-first closure that returns each element
 with its shortlex-reduced word over the generator labels 1 < 2 < 3 < 9.
 """
@@ -74,31 +75,31 @@ def signed_perm(columns: Sequence[Sequence], what: str) -> TSignedPerm:
     return TSignedPerm(tuple(perm), tuple(signs))
 
 
-# Positive roots in the fixed printed order; entries are (+-e_i +- e_j).
-_POSITIVE_ROOT_COORDS = (
-    (1, -1, 0, 0),
-    (0, 1, -1, 0),
-    (0, 0, 1, -1),
-    (1, 0, -1, 0),
-    (0, 1, 0, -1),
-    (1, 0, 0, -1),
-    (1, 1, 0, 0),
-    (0, 1, 1, 0),
-    (0, 0, 1, 1),
-    (1, 0, 1, 0),
-    (0, 1, 0, 1),
-    (1, 0, 0, 1),
-)
+# Positive roots by their printed labels 1..12; entries are (+-e_i +- e_j).
+_POSITIVE_ROOT_COORDS = {
+    1: (1, -1, 0, 0),
+    2: (0, 1, -1, 0),
+    3: (0, 0, 1, -1),
+    4: (1, 0, -1, 0),
+    5: (0, 1, 0, -1),
+    6: (1, 0, 0, -1),
+    7: (1, 1, 0, 0),
+    8: (0, 1, 1, 0),
+    9: (0, 0, 1, 1),
+    10: (1, 0, 1, 0),
+    11: (0, 1, 0, 1),
+    12: (1, 0, 0, 1),
+}
 
 
-def build_d4() -> tuple:
-    """The twelve positive roots of type D4 in e-coordinates; root i is ``rs[i - 1]``."""
+def build_d4() -> dict[int, tuple]:
+    """The twelve positive roots of type D4 in e-coordinates, keyed by label: root i is ``rs[i]``."""
     return _POSITIVE_ROOT_COORDS
 
 
-def cartan_number(rs: tuple, i: int, j: int) -> int:
+def cartan_number(rs: dict[int, tuple], i: int, j: int) -> int:
     """2(a_i, a_j) / (a_j, a_j); ValueError if root j is zero or the quotient no integer."""
-    ai, aj = rs[i - 1], rs[j - 1]
+    ai, aj = rs[i], rs[j]
     if not any(aj):
         raise ValueError(f"root {j} is zero")
     q, rem = divmod(2 * inner(ai, aj), inner(aj, aj))
@@ -111,7 +112,7 @@ def cartan_number(rs: tuple, i: int, j: int) -> int:
 CartanMatrix = list[list[int]]
 
 
-def simple_cartan_matrix(rs: tuple) -> CartanMatrix:
+def simple_cartan_matrix(rs: dict[int, tuple]) -> CartanMatrix:
     """Cartan matrix over the simple indices, in the order (1, 2, 3, 9).
 
     It is computed from the roots; callers build it once and pass it on.
@@ -119,9 +120,9 @@ def simple_cartan_matrix(rs: tuple) -> CartanMatrix:
     return [[cartan_number(rs, i, j) for j in SIMPLE_INDICES] for i in SIMPLE_INDICES]
 
 
-def reflection(rs: tuple, i: int) -> TSignedPerm:
-    """The reflection in the hyperplane normal to the i-th positive root."""
-    alpha = rs[i - 1]
+def reflection(rs: dict[int, tuple], i: int) -> TSignedPerm:
+    """The reflection in the hyperplane normal to the positive root labelled i."""
+    alpha = rs[i]
     if not any(alpha):
         raise ValueError(f"root {i} is zero")
     norm = inner(alpha, alpha)
@@ -136,7 +137,7 @@ def reflection(rs: tuple, i: int) -> TSignedPerm:
     return signed_perm(images, what)
 
 
-def simple_generators(rs: tuple) -> dict[int, TSignedPerm]:
+def simple_generators(rs: dict[int, tuple]) -> dict[int, TSignedPerm]:
     return {i: reflection(rs, i) for i in SIMPLE_INDICES}
 
 
@@ -192,11 +193,11 @@ WORD_TABLE: dict[int, tuple[int, ...]] = {
 }
 
 
-def verify_word_table(rs: tuple, gens: dict[int, TSignedPerm]) -> dict[int, bool]:
-    """Check each tabulated word sends the first root to the indexed root."""
-    alpha1 = rs[0]
+def verify_word_table(rs: dict[int, tuple], gens: dict[int, TSignedPerm]) -> dict[int, bool]:
+    """Check each tabulated word sends root 1 to the root of its label."""
+    alpha1 = rs[1]
     result = {}
     for idx, word in WORD_TABLE.items():
         w = element_from_word(word, gens)
-        result[idx] = w.apply(alpha1) == rs[idx - 1]
+        result[idx] = w.apply(alpha1) == rs[idx]
     return result

@@ -60,7 +60,7 @@ def stabilize(x: Pair) -> int:
     return x[1]
 
 
-def verify_exact_sequence(window: int = 20) -> dict[str, bool]:
+def verify_exact_sequence(window: int) -> dict[str, bool]:
     """Lemma 9 on the box |a|, |b| <= window, compared with the tau/gamma lattice.
 
     One walk over the box, column by column (fixed b), asks ``is_realizable``

@@ -50,7 +50,7 @@ def test_criterion_02_cartan_matrix(rs):
 def test_criterion_03_word_table_and_orbit(rs, gens):
     words_ok = all(rootsys.verify_word_table(rs, gens).values())
     group = rootsys.enumerate_group(gens)
-    orbit_ok = len(rootsys.orbit(group, rs[0])) == 24
+    orbit_ok = len(rootsys.orbit(group, rs[1])) == 24
     report("3. word table (11 identities) and root orbit of size 24",
            words_ok and orbit_ok)
 

@@ -136,14 +136,13 @@ def test_weyl_order(capsys):
 
 @pytest.mark.parametrize("argv", [["weyl"], ["weyl", "--order"]])
 def test_weyl_on_bad_root_data_exits_1(capsys, monkeypatch, argv):
-    roots = rootsys._POSITIVE_ROOT_COORDS
     for first_root, error in (
         # the first root should be (1, -1, 0, 0); its reflection is no signed permutation
         ((2, -1, 0, 0), "gens: reflection 1 is not a signed permutation"),
         # a zero root has no reflection at all
         ((0, 0, 0, 0), "gens: root 1 is zero"),
     ):
-        monkeypatch.setattr(rootsys, "_POSITIVE_ROOT_COORDS", (first_root,) + roots[1:])
+        monkeypatch.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, first_root)
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -202,7 +201,15 @@ def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run_cli(capsys, "verify-all", "--format", "json", "--out", str(target))
     assert code == 0
-    assert target.read_text() == out.rstrip("\n") or target.read_text() == out
+    assert target.read_bytes() == out.encode()
+
+
+def test_out_file_text_matches_golden(tmp_path, capsys):
+    # --out holds the bytes the report prints, final newline included
+    target = tmp_path / "report.txt"
+    code, _ = run_cli(capsys, "verify-all", "--out", str(target))
+    assert code == 0
+    assert target.read_bytes() == (GOLDEN / "verify-all.txt").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -265,3 +272,11 @@ def test_report_matches_golden(capsys, argv, fixture):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out.encode() == (GOLDEN / fixture).read_bytes()
+
+
+def test_module_entry_point_matches_golden():
+    # the real entry point, in a fresh process under the caller's PYTHONHASHSEED
+    env = {**os.environ, "PYTHONPATH": str(Path(d4check.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "d4check.cli", "verify-all"]
+    proc = subprocess.run(argv, env=env, capture_output=True, check=True)
+    assert proc.stdout == (GOLDEN / "verify-all.txt").read_bytes()

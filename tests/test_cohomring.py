@@ -40,13 +40,13 @@ def omega_unit(k):
 
 def test_kronecker_matrix_entries(rs):
     km = ch.kronecker_matrix(rs)
-    assert km[0][1] == -1
-    assert all(km[i][i] == 2 for i in range(12))
+    assert km[1][2] == -1
+    assert all(km[i][i] == 2 for i in rs)
 
 
 def test_kronecker_simple_submatrix_is_cartan(rs):
     km = ch.kronecker_matrix(rs)
-    sub = [[km[i - 1][j - 1] for j in SIMPLE_INDICES] for i in SIMPLE_INDICES]
+    sub = [[km[i][j] for j in SIMPLE_INDICES] for i in SIMPLE_INDICES]
     assert sub == [
         [2, -1, 0, 0],
         [-1, 2, -1, -1],
@@ -78,7 +78,7 @@ def test_euler_class_rejects_nonsimple(cartan):
 
 
 def test_omega_from_t_sends_simple_roots_to_cartan_rows(rs, cartan):
-    assert [ch.omega_from_t(rs[i - 1]) for i in SIMPLE_INDICES] == [tuple(row) for row in cartan]
+    assert [ch.omega_from_t(rs[i]) for i in SIMPLE_INDICES] == [tuple(row) for row in cartan]
 
 
 def test_omega_coords_of_pontryagin_combination():
@@ -93,7 +93,7 @@ def test_basis_roundtrip(c):
     # t is e: pairing a class with b_j is the inner product of its t coordinates with simple root j
     rs = build_d4()
     assert [ch.kronecker(ch.omega_from_t(c), ch.unit(j)) for j in SIMPLE_INDICES] == [
-        inner(c, rs[j - 1]) for j in SIMPLE_INDICES
+        inner(c, rs[j]) for j in SIMPLE_INDICES
     ]
 
 

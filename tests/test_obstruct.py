@@ -101,15 +101,6 @@ def _printed_basis_rows(monkeypatch):
     monkeypatch.setattr(cohomring, "T_OF_OMEGA", printed)
 
 
-def _root_coords(index, coords):
-    def plant(monkeypatch):
-        roots = list(rootsys._POSITIVE_ROOT_COORDS)
-        roots[index] = coords
-        monkeypatch.setattr(rootsys, "_POSITIVE_ROOT_COORDS", tuple(roots))
-
-    return plant
-
-
 def _perturbed_omega_of_t(monkeypatch):
     # the rows of T_OF_OMEGA are the omega coordinates of t1..t4
     rows = [row[:] for row in cohomring.T_OF_OMEGA]
@@ -125,36 +116,52 @@ PLANTED_FAULTS = {
     "printed-basis-rows-roundtrip": (_printed_basis_rows, "basis-roundtrip", "(-1, 2, -1, 0), (0, -1, 2, -2)"),
     # the Cartan matrix is computed from the roots, not taken from a table;
     # the ninth root should be (0, 0, 1, 1)
-    "ninth-root": (_root_coords(8, (0, 0, 0, 1)), "cartan-matrix", ""),
+    "ninth-root": (
+        lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 9, (0, 0, 0, 1)),
+        "cartan-matrix",
+        "",
+    ),
     # the first root should be (1, -1, 0, 0); its reflection is no signed permutation
     "first-root": (
-        _root_coords(0, (2, -1, 0, 0)),
+        lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (2, -1, 0, 0)),
         "weyl-order",
         "reflection 1 is not a signed permutation",
     ),
     # the same root has norm 5: 2(a_2, a_1) / (a_1, a_1) = -2/5 must not be floored to 0
     "first-root-cartan": (
-        _root_coords(0, (2, -1, 0, 0)),
+        lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (2, -1, 0, 0)),
         "cartan-matrix",
         "cartan number 2,1 is not an integer",
     ),
     # a zero root has no reflection and divides no Cartan number
-    "zero-first-root": (_root_coords(0, (0, 0, 0, 0)), "weyl-order", "gens: root 1 is zero"),
-    "zero-fifth-root": (_root_coords(4, (0, 0, 0, 0)), "kronecker-submatrix", "root 5 is zero"),
+    "zero-first-root": (
+        lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (0, 0, 0, 0)),
+        "weyl-order",
+        "gens: root 1 is zero",
+    ),
+    "zero-fifth-root": (
+        lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 5, (0, 0, 0, 0)),
+        "kronecker-submatrix",
+        "root 5 is zero",
+    ),
     # a first root of (1, 0, 0, 0) still reflects by a signed permutation, so the group builds
     "first-root-e1-stabilizer": (
-        _root_coords(0, (1, 0, 0, 0)),
+        lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (1, 0, 0, 0)),
         "stabilizer-order",
         "enumerated 12 elements, all fixing the base point: False",
     ),
-    "first-root-e1-orbit": (_root_coords(0, (1, 0, 0, 0)), "root-orbit", "orbit size 2"),
+    "first-root-e1-orbit": (
+        lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (1, 0, 0, 0)),
+        "root-orbit",
+        "orbit size 2",
+    ),
     "first-root-e1-bundle": (
-        _root_coords(0, (1, 0, 0, 0)),
+        lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (1, 0, 0, 0)),
         "bundle-classes",
         "acts: t-action of generator 1 is not a signed permutation",
     ),
     "first-root-e1-leaf": (
-        _root_coords(0, (1, 0, 0, 0)),
+        lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (1, 0, 0, 0)),
         "leaf-restrictions",
         "acts: t-action of generator 1 is not a signed permutation",
     ),
@@ -299,7 +306,7 @@ ACTS_READERS = (
 
 def test_failed_object_is_built_once(monkeypatch):
     # a derived object that fails to build is kept as failed, not rebuilt for every reader
-    _root_coords(0, (2, -1, 0, 0))(monkeypatch)
+    monkeypatch.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (2, -1, 0, 0))
     calls = {"simple_generators": 0, "simple_cartan_matrix": 0, "t_actions": 0}
     for module, name in (
         (rootsys, "simple_generators"),

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -183,6 +185,17 @@ def test_leaf_congruence_render_signs():
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-100, 100))
 def test_leaf_congruence_residues_decide_every_k(a, b, k):
     assert vect4.is_realizable(a, k * b) == (k % 4 in vect4.leaf_congruence(a, b)[1])
+
+
+@given(st.integers(-30, 30), st.integers(-30, 30))
+def test_leaf_congruence_text_agrees_with_residues(a, b):
+    # the text is written by hand, the residues come from is_realizable
+    text, residues = vect4.leaf_congruence(a, b)
+    match = re.fullmatch(r"(-?\d+)k(?: ([+-]) (\d+))? == 0 \(mod 4\)", text)
+    assert match is not None, text
+    c1 = int(match[1])
+    c0 = int(match[3] or 0) * (-1 if match[2] == "-" else 1)
+    assert residues == [k for k in range(4) if (c1 * k + c0) % 4 == 0]
 
 
 def test_kernel_elements_are_tau_multiples():
