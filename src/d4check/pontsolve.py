@@ -4,15 +4,18 @@ A candidate class k1*t1 + k2*t2 + k3*t3 + k4*t4 is pushed around the root
 orbit by composed pullbacks, then constrained three ways: triviality on the
 base leaf sphere, vanishing of the total tangent-bundle class, and symmetry
 of the focal-manifold part.  Each constraint is a row of integer
-coefficients, a plain 4-tuple, and integer elimination (``linalg``) leaves a
-one-dimensional solution line spanned by (1, 1, -1, -1).
+coefficients, a plain 4-tuple.  The cofactors of three of the rows give a
+vector that every row annihilates, so the solutions are exactly the line it
+spans, (1, 1, -1, -1).
 """
 
 from __future__ import annotations
 
-from . import linalg
+import math
+from itertools import combinations
+
 from .cohomring import T_OF_OMEGA, euler_class_d, omega_from_t
-from .rootsys import WORD_TABLE, CartanMatrix, TSignedPerm, element_from_word
+from .rootsys import WORD_TABLE, CartanMatrix, TSignedPerm, element_from_word, inner
 
 # Linear form over the unknowns (k1, k2, k3, k4); a constraint row is one.
 LinForm = tuple[int, int, int, int]
@@ -100,9 +103,37 @@ def assemble_constraints(
     return rows
 
 
-def solve(rows: list[LinForm]) -> linalg.Matrix:
-    """Exact integer nullspace basis of the constraint rows over (k1..k4)."""
-    return linalg.nullspace(rows)
+Solved = tuple[int, LinForm | None]  # (dimension, line when the dimension is 1)
+
+
+def _det3(u, v, w) -> int:
+    return inner(u, (v[1] * w[2] - v[2] * w[1], v[2] * w[0] - v[0] * w[2], v[0] * w[1] - v[1] * w[0]))
+
+
+def _cofactors(triple) -> LinForm:
+    """The signed 3x3 minors of three rows: a vector each of the three annihilates."""
+    cols = list(zip(*triple))
+    return tuple((-1) ** j * _det3(*cols[:j], *cols[j + 1:]) for j in range(4))
+
+
+def solve(rows: list[LinForm]) -> Solved:
+    """The solutions of the constraint rows over (k1..k4): (dimension, line).
+
+    The first triple of rows with nonzero cofactors v bounds the solutions to
+    multiples of v, and they are all of them if every row annihilates v.  The
+    line is primitive with its last nonzero entry positive, as in rref.
+    Without such a triple the rank is at most 2.
+    """
+    for triple in combinations(rows, 3):
+        v = _cofactors(triple)
+        if any(v):
+            if any(inner(row, v) for row in rows):
+                return 0, None
+            g = math.gcd(*v) * (1 if [x for x in v if x][-1] > 0 else -1)
+            return 1, tuple(x // g for x in v)
+    if any(a[i] * b[j] != a[j] * b[i] for a, b in combinations(rows, 2) for i, j in combinations(range(4), 2)):
+        return 2, None
+    return (3 if any(map(any, rows)) else 4), None
 
 
 # ---------------------------------------------------------------------------
@@ -191,27 +222,27 @@ def focal_sum_reduced(classes: dict[int, SymbolicClass]) -> list[tuple[int, int,
 SOLUTION_LINE = (1, 1, -1, -1)
 
 
-def solution_line(basis: linalg.Matrix) -> tuple[int, int, int, int]:
+def solution_line(solved: Solved) -> LinForm:
     """The solved line scaled to lead coordinate 1, as integers.
 
-    Raises ``ValueError`` unless ``basis`` spans the line ``SOLUTION_LINE``.
+    Raises ``ValueError`` unless ``solved`` is the line ``SOLUTION_LINE``.
     """
-    if len(basis) != 1:
-        raise ValueError(f"solution space has dimension {len(basis)}, expected 1")
-    v = basis[0]
-    if not v[0] or tuple(v) != tuple(v[0] * x for x in SOLUTION_LINE):
+    dimension, v = solved
+    if dimension != 1:
+        raise ValueError(f"solution space has dimension {dimension}, expected 1")
+    if not v[0] or v != tuple(v[0] * x for x in SOLUTION_LINE):
         raise ValueError(f"unexpected solution line: {v}")
     return SOLUTION_LINE
 
 
-def lemma8_classes(cartan: CartanMatrix, basis: linalg.Matrix) -> tuple[tuple, tuple]:
+def lemma8_classes(cartan: CartanMatrix, solved: Solved) -> tuple[tuple, tuple]:
     """Euler class and the unit-coefficient Pontryagin class in omega coords.
 
-    ``basis`` is the solved nullspace of the full constraint system.
+    ``solved`` is the ``solve`` of the full constraint system.
     Returns (euler, p1_unit) where the first Pontryagin class is
     2k * (omega_2 - omega_9), reported here per unit k.  The printed source
     for this conversion has a typo (a nonexistent basis symbol); the
     derivation fixes the last basis vector.
     """
-    line = solution_line(basis)
+    line = solution_line(solved)
     return euler_class_d(cartan, 1), omega_from_t(line)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -272,6 +273,15 @@ def test_report_matches_golden(capsys, argv, fixture):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out.encode() == (GOLDEN / fixture).read_bytes()
+
+
+def test_installed_script_is_cli_main():
+    # the `d4check` script that an install creates must run cli.main
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    module, _, name = pyproject["project"]["scripts"]["d4check"].partition(":")
+    assert (module, name) == ("d4check.cli", "main")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_module_entry_point_matches_golden():

@@ -257,9 +257,19 @@ PLANTED_FAULTS = {
     ),
     # a line with lead coordinate 0 cannot be scaled to (1, 1, -1, -1)
     "solution-lead-zero": (
-        lambda mp: mp.setattr(pontsolve, "solve", lambda eqs: [[0, 1, -1, -1]]),
+        lambda mp: mp.setattr(pontsolve, "solve", lambda eqs: (1, (0, 1, -1, -1))),
         "pontryagin-solver",
         "unexpected solution line",
+    ),
+    # a row that misses the cofactor line of the first independent triple
+    "independent-row": (
+        lambda mp: mp.setattr(
+            pontsolve,
+            "assemble_constraints",
+            lambda *args, _rows=pontsolve.assemble_constraints, **kw: _rows(*args, **kw) + [(0, 0, 0, 1)],
+        ),
+        "pontryagin-solver",
+        "dimension 0",
     ),
 }
 

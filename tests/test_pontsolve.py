@@ -1,6 +1,11 @@
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from d4check import cohomring as ch
+from d4check import obstruct
 from d4check import pontsolve as ps
 from d4check.cohomring import t_actions
 from d4check.rootsys import build_d4, compose, enumerate_group, simple_cartan_matrix
@@ -132,10 +137,7 @@ def test_focal_sum_factors(classes):
 def test_symmetry_constraints_reduce_to_k4(acts, classes):
     # together with the other constraints, symmetry forces k4 = -k
     eqs = ps.assemble_constraints(classes, acts, include_symmetry=True)
-    basis = ps.solve(eqs)
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[0] != 0 and v == [v[0] * x for x in (1, 1, -1, -1)]
+    assert ps.solve(eqs) == (1, (-1, -1, 1, 1))
 
 
 def test_solution_annihilates_every_constraint(acts, classes):
@@ -146,11 +148,10 @@ def test_solution_annihilates_every_constraint(acts, classes):
 
 def test_without_symmetry_dimension_two(acts, classes):
     eqs = ps.assemble_constraints(classes, acts, include_symmetry=False)
-    basis = ps.solve(eqs)
-    assert len(basis) == 2
-    # the plane is { (k, k, -k, k4) }
-    for v in basis:
-        assert v[0] == v[1] and v[2] == -v[0]
+    assert ps.solve(eqs) == (2, None)
+    # so the solutions are the plane { (k, k, -k, k4) } that these two span
+    for v in [(1, 1, -1, 0), (0, 0, 0, 1)]:
+        assert all(sum(c * x for c, x in zip(row, v)) == 0 for row in eqs)
 
 
 def test_lemma8_classes(cartan, acts, classes):
@@ -165,3 +166,87 @@ def test_focal_sum_vanishes_at_solution(classes):
     sol = [1, 1, -1, -1]
     for form in total:
         assert sum(c * x for c, x in zip(form, sol)) == 0
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the cofactor solve on 4-column integer matrices.
+
+matrices = st.lists(st.tuples(*[st.integers(min_value=-4, max_value=4)] * 4), min_size=1, max_size=6)
+
+#: one matrix of each rank 0..4
+RANK_EXAMPLES = [
+    [(0, 0, 0, 0)],
+    [(0, 2, 0, -4), (0, -1, 0, 2)],
+    [(1, 2, 0, 0), (2, 4, 0, 1), (3, 6, 0, 1)],
+    [(1, -1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1), (2, -1, 1, 0)],
+    [(0, 0, 0, 1), (1, -1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1)],
+]
+
+
+def _rational_nullspace(m):
+    """Reference: reduced row echelon form over Fractions, one vector per free column."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n_cols = len(a[0])
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        v = [Fraction(0)] * n_cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -a[r][f]
+        basis.append(v)
+    return basis
+
+
+def _assert_solves_like(m, reference):
+    """``solve(m)`` has the dimension of the reference basis and, at dimension 1, its line."""
+    dimension, line = ps.solve(m)
+    assert dimension == len(reference)
+    if dimension != 1:
+        assert line is None
+        return
+    (r,) = reference
+    assert all(type(x) is int for x in line)
+    assert math.gcd(*line) == 1
+    assert all(line[i] * r[j] == line[j] * r[i] for i in range(4) for j in range(4))
+    assert [x for x in line if x][-1] > 0
+
+
+def test_rank_examples_cover_every_dimension():
+    assert [len(_rational_nullspace(m)) for m in RANK_EXAMPLES] == [4, 3, 2, 1, 0]
+
+
+@given(matrices)
+@example(RANK_EXAMPLES[0])
+@example(RANK_EXAMPLES[1])
+@example(RANK_EXAMPLES[2])
+@example(RANK_EXAMPLES[3])
+@example(RANK_EXAMPLES[4])
+def test_solve_matches_rational_reference(m):
+    _assert_solves_like(m, _rational_nullspace(m))
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrices)
+def test_solve_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    _assert_solves_like(m, [list(v) for v in sympy.Matrix(m).nullspace()])
+
+
+@pytest.mark.parametrize("disable_symmetry", [False, True])
+def test_constraint_system_matches_sympy(disable_symmetry):
+    sympy = pytest.importorskip("sympy")
+    run = obstruct.Run(disable_symmetry=disable_symmetry)
+    rows = ps.assemble_constraints(run.classes, run.acts, include_symmetry=not disable_symmetry)
+    _assert_solves_like(rows, [list(v) for v in sympy.Matrix(rows).nullspace()])
