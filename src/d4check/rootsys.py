@@ -7,6 +7,9 @@ ValueError.  Like every per-root table, the roots are keyed by their printed
 labels 1..12.  Group elements are signed permutations of four coordinates,
 and group enumeration is a breadth-first closure that returns each element
 with its shortlex-reduced word over the generator labels 1 < 2 < 3 < 9.
+The closure runs on one-line images: the element that sends e_i to s e_j
+is the int 4-tuple whose entry i is s (j + 1), so the identity is
+(1, 2, 3, 4) and a right multiplication is one gather.
 """
 
 from __future__ import annotations
@@ -146,23 +149,36 @@ def enumerate_group(gens: dict[int, TSignedPerm]) -> dict[TSignedPerm, tuple[int
 
     Labels are tried in increasing order, so the first word found for an
     element is the shortlex-least one; ``element_from_word`` replays it.
-    Raises ValueError past 2^4 * 4! = 384 elements, which only signs other than +-1 reach.
+    The closure keeps one-line images: entry i of w is s (j + 1) when w sends
+    e_i to s e_j.  Then ``compose(w, g)`` for g = ((p_i), (s_i)) has entry i
+    equal to s_i w[p_i], one gather with no call, and each element becomes a
+    ``TSignedPerm`` once, at the end.  The encoding is faithful for signs +-1,
+    which is all ``reflection`` builds.  Raises ValueError past
+    2^4 * 4! = 384 elements, which a sign of 2 reaches; a sign of 0 closes
+    after two elements.
     """
-    labelled = sorted(gens.items())
-    words = {identity_element(): ()}
+    labelled = [(label, *g.perm, *g.signs) for label, g in sorted(gens.items())]
+    words = {(1, 2, 3, 4): ()}
     frontier = list(words)
     while frontier:
         nxt = []
-        for w in frontier:
-            for label, g in labelled:
-                h = compose(w, g)
+        for x in frontier:
+            word = words[x]
+            for label, p0, p1, p2, p3, s0, s1, s2, s3 in labelled:
+                h = (s0 * x[p0], s1 * x[p1], s2 * x[p2], s3 * x[p3])
                 if h not in words:
-                    words[h] = words[w] + (label,)
+                    words[h] = word + (label,)
                     nxt.append(h)
         if len(words) > 384:
             raise ValueError("the generators give more than 2^4 * 4! = 384 signed permutations")
         frontier = nxt
-    return words
+    return {
+        TSignedPerm(
+            (abs(a) - 1, abs(b) - 1, abs(c) - 1, abs(d) - 1),
+            (1 if a > 0 else -1, 1 if b > 0 else -1, 1 if c > 0 else -1, 1 if d > 0 else -1),
+        ): word
+        for (a, b, c, d), word in words.items()
+    }
 
 
 def orbit(group: Iterable[TSignedPerm], v: tuple) -> set[tuple]:

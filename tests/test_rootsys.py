@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -5,11 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from d4check import rootsys
+from d4check import obstruct, rootsys
 from d4check.obstruct import EXPECTED_CARTAN
-from d4check.rootsys import build_d4, compose, identity_element, inner
+from d4check.rootsys import TSignedPerm, build_d4, compose, identity_element, inner
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,64 @@ def test_stabilizer_is_exact(rs, gens, group):
 
 def test_empty_generator_set():
     assert rootsys.enumerate_group({}) == {identity_element(): ()}
+
+
+def _reference_closure(gens):
+    """Reference: the breadth-first closure over ``compose``, labels in increasing order."""
+    labelled = sorted(gens.items())
+    words = {identity_element(): ()}
+    frontier = list(words)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for label, g in labelled:
+                h = compose(w, g)
+                if h not in words:
+                    words[h] = words[w] + (label,)
+                    nxt.append(h)
+        frontier = nxt
+    return words
+
+
+# all 384 signed permutations of four coordinates, odd sign changes included
+SIGNED_PERMUTATIONS = [
+    TSignedPerm(perm, signs)
+    for perm in itertools.permutations(range(4))
+    for signs in itertools.product((1, -1), repeat=4)
+]
+D4_GENERATORS = rootsys.simple_generators(build_d4())
+
+
+@given(st.dictionaries(st.integers(1, 12), st.sampled_from(SIGNED_PERMUTATIONS), max_size=4))
+@example(D4_GENERATORS)
+@example({i: D4_GENERATORS[i] for i in (1, 2, 3)})
+def test_closure_matches_compose_reference(gens):
+    # same keys, same words, same order
+    assert list(rootsys.enumerate_group(gens).items()) == list(_reference_closure(gens).items())
+
+
+def test_closure_reaches_all_signed_permutations(gens):
+    # the D4 reflections and the sign change of e_4 generate B4, all 2^4 * 4! elements
+    b4 = {**gens, 4: TSignedPerm((0, 1, 2, 3), (1, 1, 1, -1))}
+    group = rootsys.enumerate_group(b4)
+    assert len(group) == 384
+    assert set(group) == set(SIGNED_PERMUTATIONS)
+
+
+def test_compose_call_counts(monkeypatch, gens):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return compose(*args)
+
+    monkeypatch.setattr(rootsys, "compose", counted)
+    assert len(rootsys.enumerate_group(gens)) == 192
+    assert calls == 0
+    # the pipeline's calls are the word replays of word-table and orbit_classes, 32 letters each
+    assert obstruct.theorem_pipeline().theorem_status == "OBSTRUCTED"
+    assert calls == 2 * sum(map(len, rootsys.WORD_TABLE.values())) == 64
 
 
 def test_closure_stops_past_all_signed_permutations():
