@@ -1,12 +1,12 @@
 """Symbolic solver for the first Pontryagin class of the base curvature bundle.
 
 A candidate class k1*t1 + k2*t2 + k3*t3 + k4*t4 is pushed around the root
-orbit by composed pullbacks, then constrained three ways: triviality on the
-base leaf sphere, vanishing of the total tangent-bundle class, and symmetry
-of the focal-manifold part.  Each constraint is a row of integer
-coefficients, a plain 4-tuple.  The cofactors of three of the rows give a
-vector that every row annihilates, so the solutions are exactly the line it
-spans, (1, 1, -1, -1).
+orbit by pullbacks along the words that the Weyl group gives the roots,
+then constrained three ways: triviality on the base leaf sphere, vanishing
+of the total tangent-bundle class, and symmetry of the focal-manifold part.
+Each constraint is a row of integer coefficients, a plain 4-tuple.  The
+cofactors of three of the rows give a vector that every row annihilates, so
+the solutions are exactly the line it spans, (1, 1, -1, -1).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from itertools import combinations
 
 from .cohomring import T_OF_OMEGA, euler_class_d, omega_from_t
-from .rootsys import WORD_TABLE, CartanMatrix, TSignedPerm, element_from_word, inner
+from .rootsys import CartanMatrix, TSignedPerm, inner
 
 # Linear form over the unknowns (k1, k2, k3, k4); a constraint row is one.
 LinForm = tuple[int, int, int, int]
@@ -40,23 +40,21 @@ def apply_pullback(sp: TSignedPerm, cls: SymbolicClass) -> SymbolicClass:
     return tuple(zip(*(sp.apply(col) for col in zip(*cls))))
 
 
-#: Pullback words carrying the base class to each root's class; the base
-#: root itself has the empty word.
-ORBIT_WORDS: dict[int, tuple[int, ...]] = {1: (), **WORD_TABLE}
+def orbit_classes(acts: dict[int, TSignedPerm], words: dict[int, tuple[int, ...]]) -> dict[int, SymbolicClass]:
+    """The symbolic class of each positive root: the generic class pulled back along its word.
 
-
-def orbit_classes(acts: dict[int, TSignedPerm]) -> dict[int, SymbolicClass]:
-    """The twelve symbolic classes, one per positive root.
-
-    ``acts`` are the generator actions on t1..t4 (``cohomring.t_actions``).
-    Each class is the pullback of the generic class by the group element of
-    its word, which composes contravariantly as written: the rightmost
-    starred generator acts first.
+    ``acts`` are the generator actions on t1..t4 (``cohomring.t_actions``),
+    and ``words[i]`` carries the first root to root i (``rootsys.orbit``).
+    The pullback is a left action, so the word's element, whose rightmost
+    generator acts first, pulls back one letter at a time from the right.
     """
-    return {
-        idx: apply_pullback(element_from_word(word, acts), generic_class())
-        for idx, word in sorted(ORBIT_WORDS.items())
-    }
+    classes = {}
+    for idx, word in words.items():
+        cls = generic_class()
+        for label in reversed(word):
+            cls = apply_pullback(acts[label], cls)
+        classes[idx] = cls
+    return classes
 
 
 def leaf_sphere_constraint() -> LinForm:
@@ -194,8 +192,8 @@ def _match_table(table: dict, rows: range, classes: dict[int, SymbolicClass], k3
         raise ValueError(f"table rows {sorted(table)}, expected {rows.start}..{rows.stop - 1}")
     return {
         idx: [_substitute(f, k3_is_minus_k) for f in classes[idx]]
-        == [_substitute(_symbol_form(s), k3_is_minus_k) for s in symbols]
-        for idx, symbols in table.items()
+        == [_substitute(_symbol_form(s), k3_is_minus_k) for s in table[idx]]
+        for idx in rows
     }
 
 

@@ -1,4 +1,4 @@
-"""D4 root system, signed-permutation Weyl group, orbits and word identities.
+"""D4 root system, signed-permutation Weyl group, and orbits with their words.
 
 Everything is exact: a root is an integer 4-tuple in the orthonormal
 coordinates e_1..e_4 of the normal plane, so inner products, Cartan numbers
@@ -9,12 +9,13 @@ and group enumeration is a breadth-first closure that returns each element
 with its shortlex-reduced word over the generator labels 1 < 2 < 3 < 9.
 The closure runs on one-line images: the element that sends e_i to s e_j
 is the int 4-tuple whose entry i is s (j + 1), so the identity is
-(1, 2, 3, 4) and a right multiplication is one gather.
+(1, 2, 3, 4) and a right multiplication is one gather.  No other code
+multiplies group elements: an orbit reads each image's word off the group.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 #: Labels of the simple reflections, in the fixed generator order.
 SIMPLE_INDICES = (1, 2, 3, 9)
@@ -45,20 +46,6 @@ class TSignedPerm(NamedTuple):
         out[p2] = s2 * v[2]
         out[p3] = s3 * v[3]
         return tuple(out)
-
-
-def identity_element() -> TSignedPerm:
-    return TSignedPerm((0, 1, 2, 3), (1, 1, 1, 1))
-
-
-def compose(outer: TSignedPerm, inner: TSignedPerm) -> TSignedPerm:
-    """outer after inner (inner applied first)."""
-    perm, signs = outer
-    (p0, p1, p2, p3), (s0, s1, s2, s3) = inner
-    return TSignedPerm(
-        (perm[p0], perm[p1], perm[p2], perm[p3]),
-        (s0 * signs[p0], s1 * signs[p1], s2 * signs[p2], s3 * signs[p3]),
-    )
 
 
 def signed_perm(columns: Sequence[Sequence], what: str) -> TSignedPerm:
@@ -148,14 +135,15 @@ def enumerate_group(gens: dict[int, TSignedPerm]) -> dict[TSignedPerm, tuple[int
     """Breadth-first closure: each element with its shortlex-least word over the labels.
 
     Labels are tried in increasing order, so the first word found for an
-    element is the shortlex-least one; ``element_from_word`` replays it.
-    The closure keeps one-line images: entry i of w is s (j + 1) when w sends
-    e_i to s e_j.  Then ``compose(w, g)`` for g = ((p_i), (s_i)) has entry i
-    equal to s_i w[p_i], one gather with no call, and each element becomes a
-    ``TSignedPerm`` once, at the end.  The encoding is faithful for signs +-1,
-    which is all ``reflection`` builds.  Raises ValueError past
-    2^4 * 4! = 384 elements, which a sign of 2 reaches; a sign of 0 closes
-    after two elements.
+    element is the shortlex-least one, and the dict is in shortlex order of
+    the words.  The word (l_1, ..., l_n) names the product g_1 ... g_n, whose
+    rightmost generator acts first.  The closure keeps one-line images: entry
+    i of w is s (j + 1) when w sends e_i to s e_j.  Then w g for
+    g = ((p_i), (s_i)) has entry i equal to s_i w[p_i], one gather with no
+    call, and each element becomes a ``TSignedPerm`` once, at the end.  The
+    encoding is faithful for signs +-1, which is all ``reflection`` builds.
+    Raises ValueError past 2^4 * 4! = 384 elements, which a sign of 2
+    reaches; a sign of 0 closes after two elements.
     """
     labelled = [(label, *g.perm, *g.signs) for label, g in sorted(gens.items())]
     words = {(1, 2, 3, 4): ()}
@@ -181,19 +169,20 @@ def enumerate_group(gens: dict[int, TSignedPerm]) -> dict[TSignedPerm, tuple[int
     }
 
 
-def orbit(group: Iterable[TSignedPerm], v: tuple) -> set[tuple]:
-    return {w.apply(v) for w in group}
+def orbit(group: dict[TSignedPerm, tuple[int, ...]], v: tuple) -> dict[tuple, tuple[int, ...]]:
+    """Each image of v under ``group`` with the shortlex-least word that carries v there.
+
+    ``group`` is the dict of ``enumerate_group``, already in shortlex order,
+    so the first word met for an image is its least.
+    """
+    words = {}
+    for w, word in group.items():
+        words.setdefault(w.apply(v), word)
+    return words
 
 
-def element_from_word(word: Sequence[int], gens: dict[int, TSignedPerm]) -> TSignedPerm:
-    """Evaluate a word right-to-left (rightmost generator applied first)."""
-    w = identity_element()
-    for label in reversed(word):
-        w = compose(gens[label], w)
-    return w
-
-
-#: Reduced expressions for roots 2..12 as words acting on the first root.
+#: The printed reduced words carrying the first root to roots 2..12; the
+#: ``word-table`` check requires each to be that root's word in ``orbit``.
 WORD_TABLE: dict[int, tuple[int, ...]] = {
     2: (1, 2),
     3: (2, 1, 3, 2),
@@ -207,13 +196,3 @@ WORD_TABLE: dict[int, tuple[int, ...]] = {
     11: (1, 9, 2),
     12: (9, 2),
 }
-
-
-def verify_word_table(rs: dict[int, tuple], gens: dict[int, TSignedPerm]) -> dict[int, bool]:
-    """Check each tabulated word sends root 1 to the root of its label."""
-    alpha1 = rs[1]
-    result = {}
-    for idx, word in WORD_TABLE.items():
-        w = element_from_word(word, gens)
-        result[idx] = w.apply(alpha1) == rs[idx]
-    return result

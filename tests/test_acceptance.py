@@ -30,6 +30,13 @@ def cartan(rs):
     return rootsys.simple_cartan_matrix(rs)
 
 
+@pytest.fixture(scope="module")
+def words(rs, gens):
+    # each root's word, read off the Weyl group
+    orbit = rootsys.orbit(rootsys.enumerate_group(gens), rs[1])
+    return {i: orbit[a] for i, a in rs.items()}
+
+
 def report(name, ok):
     print(f"acceptance {'PASS' if ok else 'FAIL'}: {name}")
     assert ok
@@ -48,11 +55,10 @@ def test_criterion_02_cartan_matrix(rs):
 
 
 def test_criterion_03_word_table_and_orbit(rs, gens):
-    words_ok = all(rootsys.verify_word_table(rs, gens).values())
-    group = rootsys.enumerate_group(gens)
-    orbit_ok = len(rootsys.orbit(group, rs[1])) == 24
-    report("3. word table (11 identities) and root orbit of size 24",
-           words_ok and orbit_ok)
+    orbit = rootsys.orbit(rootsys.enumerate_group(gens), rs[1])
+    words_ok = all(orbit.get(rs[i]) == word for i, word in rootsys.WORD_TABLE.items())
+    report("3. word table (11 shortlex-least words) and root orbit of size 24",
+           words_ok and len(orbit) == 24)
 
 
 def test_criterion_04_t_actions_and_duality(cartan):
@@ -94,8 +100,8 @@ def test_criterion_06_invariance_suite(cartan):
     report("6. invariance suite", ok)
 
 
-def test_criterion_07_orbit_tables(cartan):
-    classes = ps.orbit_classes(ch.t_actions(cartan))
+def test_criterion_07_orbit_tables(cartan, words):
+    classes = ps.orbit_classes(ch.t_actions(cartan), words)
     t42 = all(ps.check_orbit_table(classes).values())
     t43 = all(ps.check_focal_table(classes).values())
     fsum = ps.focal_sum_reduced(classes)
@@ -104,18 +110,18 @@ def test_criterion_07_orbit_tables(cartan):
     report("7. orbit class tables and factored focal sum", t42 and t43 and fsum_ok)
 
 
-def test_criterion_08_solver(cartan):
+def test_criterion_08_solver(cartan, words):
     acts = ch.t_actions(cartan)
-    classes = ps.orbit_classes(acts)
+    classes = ps.orbit_classes(acts, words)
     full = ps.solve(ps.assemble_constraints(classes, acts, include_symmetry=True))
     partial = ps.solve(ps.assemble_constraints(classes, acts, include_symmetry=False))
     report("8. solver: line span{(1,1,-1,-1)}; dimension 2 without symmetry",
            full == (1, (-1, -1, 1, 1)) and partial == (2, None))
 
 
-def test_criterion_09_bundle_classes(cartan):
+def test_criterion_09_bundle_classes(cartan, words):
     acts = ch.t_actions(cartan)
-    solved = ps.solve(ps.assemble_constraints(ps.orbit_classes(acts), acts))
+    solved = ps.solve(ps.assemble_constraints(ps.orbit_classes(acts, words), acts))
     euler, p1_unit = ps.lemma8_classes(cartan, solved)
     report("9. Euler class (2,-1,0,0) and Pontryagin class 2k(w2 - w9)",
            euler == (2, -1, 0, 0) and p1_unit == (0, 2, 0, -2))

@@ -275,6 +275,20 @@ def test_report_matches_golden(capsys, argv, fixture):
     assert out.encode() == (GOLDEN / fixture).read_bytes()
 
 
+@pytest.mark.parametrize("name, row", [("TABLE_AFTER_LEAF", 4), ("TABLE_FOCAL", 10)])
+def test_report_does_not_depend_on_table_dict_order(capsys, monkeypatch, name, row):
+    # a row dropped and put back returns at the end of its dict (as after the
+    # row-dropped planted faults); the report must read the rows in label order
+    table = dict(getattr(pontsolve, name))
+    monkeypatch.setattr(pontsolve, name, table)
+    with monkeypatch.context() as mp:
+        mp.delitem(table, row)
+    assert list(table)[-1] == row
+    code, out = run_cli(capsys, "verify-all")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "verify-all.txt").read_bytes()
+
+
 def test_installed_script_is_cli_main():
     # the `d4check` script that an install creates must run cli.main
     tomllib = pytest.importorskip("tomllib")

@@ -5,15 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from d4check import cohomring as ch
 from d4check.cohomring import TSignedPerm
-from d4check.rootsys import (
-    SIMPLE_INDICES,
-    build_d4,
-    compose,
-    identity_element,
-    inner,
-    reflection,
-    simple_cartan_matrix,
-)
+from d4check.rootsys import SIMPLE_INDICES, build_d4, inner, reflection, simple_cartan_matrix
+from signed_perms import IDENTITY, compose
 
 
 @pytest.fixture(scope="module")
@@ -173,12 +166,11 @@ def test_duality_exhaustive(cartan):
 
 
 def test_braid_relations_on_t(acts):
-    ident = identity_element()
     s1s2 = compose(acts[1], acts[2])
     cubed = compose(compose(s1s2, s1s2), s1s2)
-    assert cubed == ident
+    assert cubed == IDENTITY
     s1s9 = compose(acts[1], acts[9])
-    assert compose(s1s9, s1s9) == ident
+    assert compose(s1s9, s1s9) == IDENTITY
 
 
 # -- polynomials ------------------------------------------------------------

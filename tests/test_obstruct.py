@@ -144,6 +144,12 @@ PLANTED_FAULTS = {
         "kronecker-submatrix",
         "root 5 is zero",
     ),
+    # no word carries the first root to a zero root, so root 5 has no orbit class
+    "zero-fifth-root-orbit": (
+        lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 5, (0, 0, 0, 0)),
+        "orbit-table",
+        "classes: root 5 is not in the orbit of the first root",
+    ),
     # a first root of (1, 0, 0, 0) still reflects by a signed permutation, so the group builds
     "first-root-e1-stabilizer": (
         lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (1, 0, 0, 0)),
@@ -220,11 +226,23 @@ PLANTED_FAULTS = {
         "focal-table",
         "expected 7..12",
     ),
-    # (3, 1, 2) would be an equivalent reduced word and rightly pass
     "word-table-entry": (
         lambda mp: mp.setitem(rootsys.WORD_TABLE, 5, (1,)),
         "word-table",
         "5: False",
+    ),
+    # (3, 1, 2) names the same element as (1, 3, 2), but it is not the shortlex-least word
+    "word-table-commuted": (
+        lambda mp: mp.setitem(rootsys.WORD_TABLE, 5, (3, 1, 2)),
+        "word-table",
+        "5: False",
+    ),
+    # (2, 3) also carries the first root to root 4, but (2,) is shorter; the
+    # orbit classes read the group's words, so only word-table sees it
+    "word-table-not-least": (
+        lambda mp: mp.setitem(rootsys.WORD_TABLE, 4, (2, 3)),
+        "word-table",
+        "4: False",
     ),
     "gamma-sign": (
         lambda mp: mp.setattr(vect4, "gamma", lambda: (1, 2)),

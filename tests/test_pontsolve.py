@@ -8,7 +8,11 @@ from d4check import cohomring as ch
 from d4check import obstruct
 from d4check import pontsolve as ps
 from d4check.cohomring import t_actions
-from d4check.rootsys import build_d4, compose, enumerate_group, simple_cartan_matrix
+from d4check.rootsys import WORD_TABLE, build_d4, enumerate_group, simple_cartan_matrix
+from signed_perms import compose, element_from_word
+
+#: each root's word as printed; root 1 has the empty word
+WORDS = {1: (), **WORD_TABLE}
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +27,7 @@ def acts(cartan):
 
 @pytest.fixture(scope="module")
 def classes(acts):
-    return ps.orbit_classes(acts)
+    return ps.orbit_classes(acts, WORDS)
 
 
 def test_base_class_is_generic(classes):
@@ -60,9 +64,21 @@ def test_focal_table(classes):
     assert all(ps.check_focal_table(classes).values())
 
 
+def test_classes_are_pullbacks_by_the_word_elements(acts, classes):
+    # the letter-by-letter pullback equals one pullback by the word's product
+    assert list(classes) == list(range(1, 13))
+    for idx, word in WORDS.items():
+        assert classes[idx] == ps.apply_pullback(element_from_word(word, acts), ps.generic_class())
+
+
+def test_run_classes_read_the_group_words(classes):
+    # the words a run reads off the Weyl group give the same twelve classes
+    assert obstruct.Run().classes == classes
+
+
 def test_pullback_roundtrip(acts, classes):
     # applying a word then its reverse returns every class unchanged
-    for idx, word in ps.ORBIT_WORDS.items():
+    for idx, word in WORDS.items():
         cls = classes[idx]
         for label in word:
             cls = ps.apply_pullback(acts[label], cls)
@@ -72,9 +88,9 @@ def test_pullback_roundtrip(acts, classes):
 
 
 def test_pullback_and_substitution_act_on_the_left(acts):
-    # orbit_classes pulls back once by element_from_word(word), the composite
-    # with the rightmost generator applied first; that equals pulling back
-    # generator by generator only if each action is a left action
+    # orbit_classes pulls back generator by generator, from the right of the
+    # word; that equals pulling back once by the word's product only if each
+    # action is a left action
     group = enumerate_group(acts)
     assert len(group) == 192
     generic = ps.generic_class()

@@ -10,7 +10,8 @@ from hypothesis import example, given, strategies as st
 
 from d4check import obstruct, rootsys
 from d4check.obstruct import EXPECTED_CARTAN
-from d4check.rootsys import TSignedPerm, build_d4, compose, identity_element, inner
+from d4check.rootsys import WORD_TABLE, TSignedPerm, build_d4, inner
+from signed_perms import IDENTITY, compose, element_from_word
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +68,9 @@ def test_generator_actions(rs, gens):
 
 
 def test_reflections_are_involutions(rs):
-    ident = identity_element()
     for i in rs:
         s = rootsys.reflection(rs, i)
-        sq = compose(s, s)
-        assert (sq.perm, sq.signs) == (ident.perm, ident.signs)
+        assert compose(s, s) == IDENTITY
 
 
 def test_apply_examples(rs, gens):
@@ -79,7 +78,7 @@ def test_apply_examples(rs, gens):
     assert gens[2].apply(a1) == rs[4]
     w = compose(gens[9], gens[2])
     assert w.apply(a1) == rs[12]
-    assert identity_element().apply(a1) == a1
+    assert IDENTITY.apply(a1) == a1
 
 
 def test_group_order(group):
@@ -131,13 +130,13 @@ def test_stabilizer_is_exact(rs, gens, group):
 
 
 def test_empty_generator_set():
-    assert rootsys.enumerate_group({}) == {identity_element(): ()}
+    assert rootsys.enumerate_group({}) == {IDENTITY: ()}
 
 
 def _reference_closure(gens):
     """Reference: the breadth-first closure over ``compose``, labels in increasing order."""
     labelled = sorted(gens.items())
-    words = {identity_element(): ()}
+    words = {IDENTITY: ()}
     frontier = list(words)
     while frontier:
         nxt = []
@@ -176,20 +175,18 @@ def test_closure_reaches_all_signed_permutations(gens):
     assert set(group) == set(SIGNED_PERMUTATIONS)
 
 
-def test_compose_call_counts(monkeypatch, gens):
-    calls = 0
+def test_pipeline_builds_the_group_and_the_orbit_once(monkeypatch):
+    # the full group and the stabilizer are the only closures; the word table,
+    # the orbit size and the orbit classes all read one orbit of root 1
+    calls = {"enumerate_group": 0, "orbit": 0}
+    for name in calls:
+        def counted(*args, _build=getattr(rootsys, name), _name=name):
+            calls[_name] += 1
+            return _build(*args)
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return compose(*args)
-
-    monkeypatch.setattr(rootsys, "compose", counted)
-    assert len(rootsys.enumerate_group(gens)) == 192
-    assert calls == 0
-    # the pipeline's calls are the word replays of word-table and orbit_classes, 32 letters each
+        monkeypatch.setattr(rootsys, name, counted)
     assert obstruct.theorem_pipeline().theorem_status == "OBSTRUCTED"
-    assert calls == 2 * sum(map(len, rootsys.WORD_TABLE.values())) == 64
+    assert calls == {"enumerate_group": 2, "orbit": 1}
 
 
 def test_closure_stops_past_all_signed_permutations():
@@ -206,24 +203,37 @@ def test_closure_stops_past_all_signed_permutations():
 
 
 def test_orbit_of_first_root(rs, group):
+    # the images are exactly the 24 roots +-alpha
     orb = rootsys.orbit(group, rs[1])
     assert len(orb) == 24
     full = set(rs.values()) | {tuple(-x for x in a) for a in rs.values()}
-    assert orb == full
+    assert set(orb) == full
 
 
 def test_orbit_of_identity(rs):
     v = (3, 1, 4, 1)
-    assert rootsys.orbit([identity_element()], v) == {v}
+    assert rootsys.orbit(rootsys.enumerate_group({}), v) == {v: ()}
 
 
-def test_word_table(rs, gens):
-    assert all(rootsys.verify_word_table(rs, gens).values())
+def test_orbit_words_are_least_by_brute_force(rs, gens, group):
+    # each image's word is the least (length, word) over all 192 elements that
+    # carry root 1 there, and that word's product does carry it there
+    orb = rootsys.orbit(group, rs[1])
+    for image, word in orb.items():
+        least = min((len(u), u) for w, u in group.items() if w.apply(rs[1]) == image)
+        assert (len(word), word) == least
+        assert element_from_word(word, gens).apply(rs[1]) == image
+
+
+def test_word_table(rs, group):
+    # the printed words are the derived ones, and root 1 has the empty word
+    orb = rootsys.orbit(group, rs[1])
+    assert {i: orb[a] for i, a in rs.items()} == {1: (), **WORD_TABLE}
 
 
 def test_words_replay_to_elements(rs, gens, group):
     for w, word in group.items():
-        assert rootsys.element_from_word(word, gens) == w
+        assert element_from_word(word, gens) == w
 
 
 def test_even_sign_invariant(group):
@@ -232,9 +242,8 @@ def test_even_sign_invariant(group):
 
 def test_group_closure_and_inverses(group):
     assert {compose(w, v) for w in group for v in group} == set(group)
-    ident = identity_element()
     for w in group:
-        assert any(compose(w, v) == ident for v in group)
+        assert any(compose(w, v) == IDENTITY for v in group)
 
 
 def test_roots_permuted_by_group(rs, group):
@@ -276,7 +285,7 @@ def test_all_roots_match_sympy(rs, group):
     root_system = pytest.importorskip("sympy.liealgebras.root_system")
     roots = [tuple(r) for r in root_system.RootSystem("D4").all_roots().values()]
     assert len(roots) == 24
-    assert set(roots) == rootsys.orbit(group, rs[1])
+    assert set(roots) == set(rootsys.orbit(group, rs[1]))
 
 
 def test_group_order_matches_sympy(group):
