@@ -20,7 +20,6 @@ from .rootsys import (
     SIMPLE_INDICES,
     CartanMatrix,
     TSignedPerm,
-    cartan_number,
     signed_perm,
 )
 
@@ -60,11 +59,6 @@ def omega_from_t(c: tuple) -> tuple:
 def kronecker(c: tuple, h: tuple) -> int:
     """Evaluation pairing of an omega-basis class with a b-basis class; the bases are dual."""
     return sum(a * b for a, b in zip(c, h))
-
-
-def kronecker_matrix(rs: dict[int, tuple]) -> dict[int, dict[int, int]]:
-    """Pairing of all twelve Euler classes against all twelve sphere classes, keyed by root labels."""
-    return {i: {j: cartan_number(rs, i, j) for j in rs} for i in rs}
 
 
 def euler_class_d(cartan: CartanMatrix, i: int) -> tuple:

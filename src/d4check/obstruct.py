@@ -16,11 +16,6 @@ from .cohomring import kronecker, unit
 from .rootsys import SIMPLE_INDICES
 
 
-def restrict(c: tuple, j: int) -> int:
-    """Pairing of an omega-basis class with the j-th leaf-sphere homology class."""
-    return kronecker(c, unit(j))
-
-
 # ---------------------------------------------------------------------------
 # Report plumbing
 
@@ -121,14 +116,31 @@ class Run:
         return rootsys.orbit(self.group, self.rs[1])
 
     @_derived
-    def classes(self):
-        acts = self.acts  # read before the orbit: a Cartan fault then reports as "cartan: ..."
+    def words(self):
+        """Each root label with the orbit word carrying root 1 to that root."""
         words = {}
         for i, root in self.rs.items():
             if root not in self.orbit:
                 raise ValueError(f"root {i} is not in the orbit of the first root")
             words[i] = self.orbit[root]
-        return pontsolve.orbit_classes(acts, words)
+        return words
+
+    @_derived
+    def pushed(self):
+        """(d_k, b_k) per root label: d_1 and b_1 pushed along the root's word by (3-3)/(3-4)."""
+        pushed = {}
+        for i, word in self.words.items():
+            d, b = cohomring.euler_class_d(self.cartan, 1), unit(1)
+            for label in reversed(word):  # the rightmost letter acts first
+                d = cohomring.cohomology_action_omega(self.cartan, label, d)
+                b = cohomring.homology_action(self.cartan, label, b)
+            pushed[i] = d, b
+        return pushed
+
+    @_derived
+    def classes(self):
+        acts = self.acts  # read before the words: a Cartan fault then reports as "cartan: ..."
+        return pontsolve.orbit_classes(acts, self.words)
 
     @_derived
     def basis(self):
@@ -145,7 +157,7 @@ class Run:
     def pairs(self):
         """The bundle's (Euler, Pontryagin per unit k) pairs on the leaf spheres 2 and 9."""
         euler, p1_unit = self.bundle
-        return tuple((restrict(euler, j), restrict(p1_unit, j)) for j in (2, 9))
+        return tuple((kronecker(euler, b), kronecker(p1_unit, b)) for _, b in (self.pushed[2], self.pushed[9]))
 
     def selected(self) -> list[Check]:
         """The checks this run's switches keep, in certificate order."""
@@ -203,8 +215,7 @@ def _root_orbit(run):
 
 
 def _kronecker_submatrix(run):
-    km = cohomring.kronecker_matrix(run.rs)
-    sub = [[km[i][j] for j in SIMPLE_INDICES] for i in SIMPLE_INDICES]
+    sub = [[kronecker(run.pushed[i][0], run.pushed[j][1]) for j in SIMPLE_INDICES] for i in SIMPLE_INDICES]
     return sub == EXPECTED_CARTAN, f"submatrix {sub}"
 
 
@@ -215,14 +226,10 @@ def _basis_roundtrip(run):
 
 
 def _pairing_duality(run):
-    # the actions are linear, so the basis classes decide the identity
-    units = [unit(i) for i in SIMPLE_INDICES]
+    # b_k names the root sum_j b_k[j] * (simple root j)
     ok = all(
-        kronecker(cohomring.cohomology_action_omega(run.cartan, i, x), h)
-        == kronecker(x, cohomring.homology_action(run.cartan, i, h))
-        for i in SIMPLE_INDICES
-        for x in units
-        for h in units
+        tuple(sum(x * run.rs[j][t] for x, j in zip(b, SIMPLE_INDICES)) for t in range(4)) == run.rs[k]
+        for k, (_, b) in run.pushed.items()
     )
     return ok, ""
 
@@ -331,7 +338,8 @@ CHECKS = (
           lambda run: (run.acts == EXPECTED_T_ACTIONS and run.acts == run.gens,
                        f"computed {run.acts}; equal to the reflections: {run.acts == run.gens}")),
     Check("pairing-duality", "(3-3)/(3-4)",
-          "the cohomology and homology actions are adjoint under the pairing", _pairing_duality),
+          "b1 pushed along the orbit word of each root is that root in simple-root coordinates",
+          _pairing_duality),
     Check("theta-identities", "Lemma 5 context",
           "the three expansions of the squared-variable symmetric functions hold", _theta_identities),
     Check("invariance-suite", "Lemma 5",

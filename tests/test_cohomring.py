@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from d4check import cohomring as ch
+from d4check import obstruct
 from d4check.cohomring import TSignedPerm
-from d4check.rootsys import SIMPLE_INDICES, build_d4, inner, reflection, simple_cartan_matrix
+from d4check.rootsys import SIMPLE_INDICES, build_d4, cartan_number, inner, reflection, simple_cartan_matrix
 from signed_perms import IDENTITY, compose
 
 
@@ -31,14 +32,25 @@ def omega_unit(k):
 # -- pairings and bases -----------------------------------------------------
 
 
-def test_kronecker_matrix_entries(rs):
-    km = ch.kronecker_matrix(rs)
+@pytest.fixture(scope="module")
+def pushed():
+    return obstruct.Run().pushed
+
+
+@pytest.fixture(scope="module")
+def km(rs, pushed):
+    # <d_k, b_l> for the classes pushed along the orbit words, keyed by root labels
+    return {k: {l: ch.kronecker(pushed[k][0], pushed[l][1]) for l in rs} for k in rs}
+
+
+def test_kronecker_matrix_entries(rs, km):
+    # Lemma 2 for all twelve roots: <d_k, b_l> is the Cartan number of roots k and l
+    assert km == {k: {l: cartan_number(rs, k, l) for l in rs} for k in rs}
     assert km[1][2] == -1
     assert all(km[i][i] == 2 for i in rs)
 
 
-def test_kronecker_simple_submatrix_is_cartan(rs):
-    km = ch.kronecker_matrix(rs)
+def test_kronecker_simple_submatrix_is_cartan(km):
     sub = [[km[i][j] for j in SIMPLE_INDICES] for i in SIMPLE_INDICES]
     assert sub == [
         [2, -1, 0, 0],
@@ -46,6 +58,11 @@ def test_kronecker_simple_submatrix_is_cartan(rs):
         [0, -1, 2, 0],
         [0, -1, 0, 2],
     ]
+
+
+def test_pushed_euler_classes_are_roots_in_omega_coordinates(rs, pushed):
+    # a second oracle for the cohomology action: d_k is root k read through t = e
+    assert {k: d for k, (d, _) in pushed.items()} == {k: ch.omega_from_t(rs[k]) for k in rs}
 
 
 def test_euler_class_d1(cartan):
@@ -60,8 +77,6 @@ def test_euler_class_pairings_recover_cartan(rs, cartan):
     for i in SIMPLE_INDICES:
         d = ch.euler_class_d(cartan, i)
         for j in SIMPLE_INDICES:
-            from d4check.rootsys import cartan_number
-
             assert ch.kronecker(d, ch.unit(j)) == cartan_number(rs, i, j)
 
 

@@ -4,21 +4,22 @@ from d4check import cohomring, obstruct, pontsolve, rootsys, vect4
 
 
 def test_restrict_euler_to_second_sphere():
+    # a class restricts to leaf sphere j as its pairing with b_j
     e = (2, -1, 0, 0)
-    assert obstruct.restrict(e, 2) == -1
-    assert obstruct.restrict(e, 9) == 0
-    assert obstruct.restrict((1, 0, 0, 0), 1) == 1
+    assert cohomring.kronecker(e, cohomring.unit(2)) == -1
+    assert cohomring.kronecker(e, cohomring.unit(9)) == 0
+    assert cohomring.kronecker((1, 0, 0, 0), cohomring.unit(1)) == 1
 
 
 def test_restrict_p1_unit():
     p1 = (0, 2, 0, -2)
-    assert obstruct.restrict(p1, 2) == 2
-    assert obstruct.restrict(p1, 9) == -2
+    assert cohomring.kronecker(p1, cohomring.unit(2)) == 2
+    assert cohomring.kronecker(p1, cohomring.unit(9)) == -2
 
 
 def test_restrict_rejects_nonsimple():
     with pytest.raises(ValueError):
-        obstruct.restrict((1, 0, 0, 0), 4)
+        cohomring.kronecker((1, 0, 0, 0), cohomring.unit(4))
 
 
 def test_details_render_integers():
@@ -108,6 +109,16 @@ def _perturbed_omega_of_t(monkeypatch):
     monkeypatch.setattr(cohomring, "T_OF_OMEGA", rows)
 
 
+def _bond_dropped(monkeypatch):
+    # entries [1][3] and [3][1] are the bond between simple roots 2 and 9
+    def dropped(rs, _build=rootsys.simple_cartan_matrix):
+        cartan = _build(rs)
+        cartan[1][3] = cartan[3][1] = 0
+        return cartan
+
+    monkeypatch.setattr(rootsys, "simple_cartan_matrix", dropped)
+
+
 #: fault -> (plant it, the check id that must fail, text that check's detail contains);
 #: every planted fault must end the run FAILED, never in an exception
 PLANTED_FAULTS = {
@@ -139,17 +150,27 @@ PLANTED_FAULTS = {
         "weyl-order",
         "gens: root 1 is zero",
     ),
+    # no word carries the first root to a zero root, so root 5 has no pushed
+    # classes and no orbit class
     "zero-fifth-root": (
         lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 5, (0, 0, 0, 0)),
         "kronecker-submatrix",
-        "root 5 is zero",
+        "words: root 5 is not in the orbit of the first root",
     ),
-    # no word carries the first root to a zero root, so root 5 has no orbit class
     "zero-fifth-root-orbit": (
         lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 5, (0, 0, 0, 0)),
         "orbit-table",
-        "classes: root 5 is not in the orbit of the first root",
+        "words: root 5 is not in the orbit of the first root",
     ),
+    # Lemma 2 and (3-3)/(3-4): d_1 and b_1 pushed along the orbit words with
+    # the 2-9 bond missing from the Cartan matrix pair to no Cartan matrix
+    # and land on no roots
+    "cartan-bond-dropped": (
+        _bond_dropped,
+        "kronecker-submatrix",
+        "submatrix [[2, -1, 0, 1], [-1, 2, -1, -2], [0, -1, 2, 1], [1, -2, 1, 2]]",
+    ),
+    "cartan-bond-dropped-duality": (_bond_dropped, "pairing-duality", ""),
     # a first root of (1, 0, 0, 0) still reflects by a signed permutation, so the group builds
     "first-root-e1-stabilizer": (
         lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (1, 0, 0, 0)),
@@ -301,6 +322,11 @@ def test_planted_fault_fails_named_check(monkeypatch, fault):
     assert check_id in [c.id for c in rep.checks if c.status == "fail"]
     rec = next(c for c in rep.checks if c.id == check_id)
     assert detail in rec.detail
+
+
+def test_planted_faults_name_every_check():
+    # every check must be able to fail: some planted fault names it
+    assert set(obstruct.CHECK_IDS) <= {check_id for _, check_id, _ in PLANTED_FAULTS.values()}
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from d4check import obstruct, rootsys
+from d4check import cohomring, obstruct, pontsolve, rootsys, vect4
 from d4check.obstruct import EXPECTED_CARTAN
 from d4check.rootsys import WORD_TABLE, TSignedPerm, build_d4, inner
 from signed_perms import IDENTITY, compose, element_from_word
@@ -187,6 +187,22 @@ def test_pipeline_builds_the_group_and_the_orbit_once(monkeypatch):
         monkeypatch.setattr(rootsys, name, counted)
     assert obstruct.theorem_pipeline().theorem_status == "OBSTRUCTED"
     assert calls == {"enumerate_group": 2, "orbit": 1}
+
+
+def test_pipeline_computes_only_the_simple_cartan_numbers(monkeypatch):
+    # the 16 entries of the simple Cartan matrix; every other pairing of
+    # roots comes from the classes pushed along the orbit words
+    calls = []
+
+    def counted(*args, _build=rootsys.cartan_number):
+        calls.append(args)
+        return _build(*args)
+
+    for module in (rootsys, cohomring, pontsolve, vect4, obstruct):
+        if hasattr(module, "cartan_number"):
+            monkeypatch.setattr(module, "cartan_number", counted)
+    assert obstruct.theorem_pipeline().theorem_status == "OBSTRUCTED"
+    assert len(calls) == 16
 
 
 def test_closure_stops_past_all_signed_permutations():
