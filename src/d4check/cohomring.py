@@ -16,12 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .rootsys import (
-    SIMPLE_INDICES,
-    CartanMatrix,
-    TSignedPerm,
-    signed_perm,
-)
+from .rootsys import SIMPLE_INDICES, CartanMatrix, TSignedPerm
 
 
 def _pos(i: int) -> int:
@@ -81,26 +76,6 @@ def cohomology_action_omega(cartan: CartanMatrix, i: int, c: tuple) -> tuple:
     """Dual reflection action in the omega basis, extended linearly."""
     r = _pos(i)
     return tuple(c[j] - c[r] * cartan[r][j] for j in range(4))
-
-
-def action_on_t(cartan: CartanMatrix, i: int) -> TSignedPerm:
-    """The omega-basis action read as an action on t1..t4, in integers.
-
-    t_k in omega coordinates is row k of ``T_OF_OMEGA``.  Its image must be
-    +-row j, which sends t_k to +-t_j; an image that matches no row, or two
-    that match one, signals a convention error upstream.
-    """
-    targets = {}
-    for j, row in enumerate(T_OF_OMEGA):
-        for s in (1, -1):
-            targets[tuple(s * x for x in row)] = tuple(s * (t == j) for t in range(4))
-    columns = [targets.get(cohomology_action_omega(cartan, i, row), (0, 0, 0, 0)) for row in T_OF_OMEGA]
-    return signed_perm(columns, f"t-action of generator {i}")
-
-
-def t_actions(cartan: CartanMatrix) -> dict[int, TSignedPerm]:
-    """The generator actions on t1..t4; ValueError if one is not a signed permutation."""
-    return {i: action_on_t(cartan, i) for i in SIMPLE_INDICES}
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,10 @@ def apply_pullback(sp: TSignedPerm, cls: SymbolicClass) -> SymbolicClass:
     return tuple(zip(*(sp.apply(col) for col in zip(*cls))))
 
 
-def orbit_classes(acts: dict[int, TSignedPerm], words: dict[int, tuple[int, ...]]) -> dict[int, SymbolicClass]:
+def orbit_classes(gens: dict[int, TSignedPerm], words: dict[int, tuple[int, ...]]) -> dict[int, SymbolicClass]:
     """The symbolic class of each positive root: the generic class pulled back along its word.
 
-    ``acts`` are the generator actions on t1..t4 (``cohomring.t_actions``),
+    ``gens`` are the simple reflections, acting on t1..t4 as on e_1..e_4,
     and ``words[i]`` carries the first root to root i (``rootsys.orbit``).
     The pullback is a left action, so the word's element, whose rightmost
     generator acts first, pulls back one letter at a time from the right.
@@ -52,7 +52,7 @@ def orbit_classes(acts: dict[int, TSignedPerm], words: dict[int, tuple[int, ...]
     for idx, word in words.items():
         cls = generic_class()
         for label in reversed(word):
-            cls = apply_pullback(acts[label], cls)
+            cls = apply_pullback(gens[label], cls)
         classes[idx] = cls
     return classes
 
@@ -74,7 +74,7 @@ def focal_sum(classes: dict[int, SymbolicClass]) -> SymbolicClass:
     return _sum(classes[idx] for idx in range(7, 13))
 
 
-def symmetry_constraint(classes: dict[int, SymbolicClass], acts: dict[int, TSignedPerm]) -> list[LinForm]:
+def symmetry_constraint(classes: dict[int, SymbolicClass], gens: dict[int, TSignedPerm]) -> list[LinForm]:
     """The focal part (roots 7..12) must be a symmetric function of the t_i.
 
     The stabilizer generators 1, 2 and 3 act on t by the transpositions of
@@ -86,18 +86,18 @@ def symmetry_constraint(classes: dict[int, SymbolicClass], acts: dict[int, TSign
     return [
         tuple(a - b for a, b in zip(image, form))
         for g in (1, 2, 3)
-        for image, form in zip(apply_pullback(acts[g], total), total)
+        for image, form in zip(apply_pullback(gens[g], total), total)
     ]
 
 
 def assemble_constraints(
-    classes: dict[int, SymbolicClass], acts: dict[int, TSignedPerm], include_symmetry: bool = True
+    classes: dict[int, SymbolicClass], gens: dict[int, TSignedPerm], include_symmetry: bool = True
 ) -> list[LinForm]:
     """The constraint rows over the orbit classes of the generic class."""
     rows = [leaf_sphere_constraint()]
     rows += sum_zero_constraint(classes)
     if include_symmetry:
-        rows += symmetry_constraint(classes, acts)
+        rows += symmetry_constraint(classes, gens)
     return rows
 
 

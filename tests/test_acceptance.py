@@ -11,7 +11,6 @@ import pytest
 from d4check import cohomring as ch
 from d4check import obstruct, pontsolve as ps, rootsys, vect4
 from d4check.cli import main as cli_main
-from d4check.cohomring import TSignedPerm
 from d4check.rootsys import SIMPLE_INDICES, build_d4
 
 
@@ -44,9 +43,11 @@ def report(name, ok):
 
 def test_criterion_01_group_orders(rs, gens):
     full = rootsys.enumerate_group(gens)
-    sub = rootsys.enumerate_group({i: gens[i] for i in (1, 2, 3)})
+    b = (1, 1, 1, 1)
+    # the stabilizer of b is the subgroup generated by 1, 2 and 3: the words avoiding 9
+    fixers = [w for w in full if w.apply(b) == b]
     report("1. group order 192 / stabilizer order 24",
-           len(full) == 192 and len(sub) == 24)
+           len(full) == 192 and len(fixers) == 24 and fixers == [w for w, word in full.items() if 9 not in word])
 
 
 def test_criterion_02_cartan_matrix(rs):
@@ -61,25 +62,22 @@ def test_criterion_03_word_table_and_orbit(rs, gens):
            words_ok and len(orbit) == 24)
 
 
-def test_criterion_04_t_actions_and_duality(cartan):
-    expected = {
-        1: TSignedPerm((1, 0, 2, 3), (1, 1, 1, 1)),
-        2: TSignedPerm((0, 2, 1, 3), (1, 1, 1, 1)),
-        3: TSignedPerm((0, 1, 3, 2), (1, 1, 1, 1)),
-        9: TSignedPerm((0, 1, 3, 2), (1, 1, -1, -1)),
-    }
-    actions_ok = ch.t_actions(cartan) == expected
-    duality_ok = True
-    for i in SIMPLE_INDICES:
-        for k in range(4):
-            x = tuple(int(j == k) for j in range(4))
-            for j in SIMPLE_INDICES:
-                h = ch.unit(j)
-                lhs = ch.kronecker(ch.cohomology_action_omega(cartan, i, x), h)
-                rhs = ch.kronecker(x, ch.homology_action(cartan, i, h))
-                duality_ok = duality_ok and lhs == rhs
-    report("4. variable actions match the table; pairing duality on all basis triples",
-           actions_ok and duality_ok)
+def test_criterion_04_t_actions_and_duality():
+    run = obstruct.Run()
+    actions_ok = run.gens == obstruct.EXPECTED_T_ACTIONS
+    # omega_from_t carries each reflection's action on t1..t4 to (3-3)
+    intertwine_ok = all(
+        ch.omega_from_t(g.apply(e)) == ch.cohomology_action_omega(run.cartan, i, ch.omega_from_t(e))
+        for i, g in run.gens.items()
+        for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    )
+    # each pushed b_k is root k in simple-root coordinates
+    duality_ok = all(
+        tuple(sum(x * run.rs[j][t] for x, j in zip(b, SIMPLE_INDICES)) for t in range(4)) == run.rs[k]
+        for k, (_, b) in run.pushed.items()
+    )
+    report("4. reflections match the table and intertwine with (3-3); pushed b_k is root k",
+           actions_ok and intertwine_ok and duality_ok)
 
 
 def test_criterion_05_theta_identities():
@@ -87,21 +85,20 @@ def test_criterion_05_theta_identities():
            all(ch.verify_theta_identities().values()))
 
 
-def test_criterion_06_invariance_suite(cartan):
-    acts = ch.t_actions(cartan)
-    full = list(acts.values())
-    stab = [acts[1], acts[2], acts[3]]
+def test_criterion_06_invariance_suite(gens):
+    full = list(gens.values())
+    stab = [gens[1], gens[2], gens[3]]
     ok = (
         all(ch.is_invariant(ch.theta(i), full) for i in range(1, 4))
         and ch.is_invariant(ch.elementary_symmetric(4), full)
         and all(ch.is_invariant(ch.elementary_symmetric(i), stab) for i in range(1, 5))
-        and not ch.is_invariant(ch.elementary_symmetric(1), [acts[9]])
+        and not ch.is_invariant(ch.elementary_symmetric(1), [gens[9]])
     )
     report("6. invariance suite", ok)
 
 
-def test_criterion_07_orbit_tables(cartan, words):
-    classes = ps.orbit_classes(ch.t_actions(cartan), words)
+def test_criterion_07_orbit_tables(gens, words):
+    classes = ps.orbit_classes(gens, words)
     t42 = all(ps.check_orbit_table(classes).values())
     t43 = all(ps.check_focal_table(classes).values())
     fsum = ps.focal_sum_reduced(classes)
@@ -110,18 +107,16 @@ def test_criterion_07_orbit_tables(cartan, words):
     report("7. orbit class tables and factored focal sum", t42 and t43 and fsum_ok)
 
 
-def test_criterion_08_solver(cartan, words):
-    acts = ch.t_actions(cartan)
-    classes = ps.orbit_classes(acts, words)
-    full = ps.solve(ps.assemble_constraints(classes, acts, include_symmetry=True))
-    partial = ps.solve(ps.assemble_constraints(classes, acts, include_symmetry=False))
+def test_criterion_08_solver(gens, words):
+    classes = ps.orbit_classes(gens, words)
+    full = ps.solve(ps.assemble_constraints(classes, gens, include_symmetry=True))
+    partial = ps.solve(ps.assemble_constraints(classes, gens, include_symmetry=False))
     report("8. solver: line span{(1,1,-1,-1)}; dimension 2 without symmetry",
            full == (1, (-1, -1, 1, 1)) and partial == (2, None))
 
 
-def test_criterion_09_bundle_classes(cartan, words):
-    acts = ch.t_actions(cartan)
-    solved = ps.solve(ps.assemble_constraints(ps.orbit_classes(acts, words), acts))
+def test_criterion_09_bundle_classes(cartan, gens, words):
+    solved = ps.solve(ps.assemble_constraints(ps.orbit_classes(gens, words), gens))
     euler, p1_unit = ps.lemma8_classes(cartan, solved)
     report("9. Euler class (2,-1,0,0) and Pontryagin class 2k(w2 - w9)",
            euler == (2, -1, 0, 0) and p1_unit == (0, 2, 0, -2))

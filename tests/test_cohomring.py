@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from d4check import cohomring as ch
 from d4check import obstruct
 from d4check.cohomring import TSignedPerm
-from d4check.rootsys import SIMPLE_INDICES, build_d4, cartan_number, inner, reflection, simple_cartan_matrix
+from d4check.rootsys import SIMPLE_INDICES, build_d4, cartan_number, inner, simple_cartan_matrix, simple_generators
 from signed_perms import IDENTITY, compose
 
 
@@ -21,8 +21,9 @@ def cartan(rs):
 
 
 @pytest.fixture(scope="module")
-def acts(cartan):
-    return ch.t_actions(cartan)
+def acts(rs):
+    # t is e, so the simple reflections are the actions on t1..t4
+    return simple_generators(rs)
 
 
 def omega_unit(k):
@@ -149,24 +150,21 @@ def test_t_actions_match_table(rs, acts):
     assert acts[9] == TSignedPerm((0, 1, 3, 2), (1, 1, -1, -1))
 
 
-def _outcome(build):
-    try:
-        return build()
-    except ValueError as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("rows", ["solved", "printed"])
-def test_t_actions_are_the_reflections(monkeypatch, rs, cartan, rows):
-    # t is e, so each generator acts on t1..t4 as its reflection acts on e_1..e_4
+def test_reflections_intertwine_with_the_omega_action(monkeypatch, cartan, acts, rows):
+    # omega_from_t carries each reflection's action on t1..t4 to (3-3)
     if rows == "printed":
-        # the source's rows for t3 and t4; some generators then act by no signed permutation
+        # the source's rows for t3 and t4
         printed = [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 2]]
         monkeypatch.setattr(ch, "T_OF_OMEGA", printed)
-    outcomes = {i: _outcome(lambda: ch.action_on_t(cartan, i)) for i in SIMPLE_INDICES}
-    matches = {i: outcomes[i] == reflection(rs, i) for i in SIMPLE_INDICES}
-    assert all(matches.values()) == (rows == "solved")
-    assert any(isinstance(o, str) for o in outcomes.values()) == (rows == "printed")
+    holds = {
+        i: all(
+            ch.omega_from_t(acts[i].apply(e)) == ch.cohomology_action_omega(cartan, i, ch.omega_from_t(e))
+            for e in map(omega_unit, range(4))
+        )
+        for i in SIMPLE_INDICES
+    }
+    assert all(holds.values()) == (rows == "solved")
 
 
 def test_duality_exhaustive(cartan):

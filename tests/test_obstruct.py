@@ -59,6 +59,35 @@ def test_pipeline_each_congruence_alone_is_satisfiable():
         assert vect4.leaf_congruence(a, b)[1] != []
 
 
+#: root label -> (Euler, p1 per unit k) of the Lemma 8 bundle on that root's pushed
+#: b_k, and the residues k mod 4 that leave the pair realizable
+LEAF_SPHERE_TABLE = {
+    1: ((2, 0), [0, 1, 2, 3]),
+    2: ((-1, 2), [1, 3]),
+    3: ((0, 0), [0, 1, 2, 3]),
+    4: ((1, 2), [1, 3]),
+    5: ((-1, 2), [1, 3]),
+    6: ((1, 2), [1, 3]),
+    7: ((0, 2), [0, 2]),
+    8: ((-1, 0), []),
+    9: ((0, -2), [0, 2]),
+    10: ((1, 0), []),
+    11: ((-1, 0), []),
+    12: ((1, 0), []),
+}
+
+
+def test_bundle_on_every_pushed_leaf_class():
+    # the certificate reads only roots 2 and 9; this pins what the model gives on all twelve
+    run = obstruct.Run()
+    euler, p1_unit = run.bundle
+    table = {}
+    for k, (_, b) in run.pushed.items():
+        pair = cohomring.kronecker(euler, b), cohomring.kronecker(p1_unit, b)
+        table[k] = pair, vect4.leaf_congruence(*pair)[1]
+    assert table == LEAF_SPHERE_TABLE
+
+
 def test_pipeline_without_symmetry_is_inconclusive():
     rep = obstruct.theorem_pipeline(disable_symmetry=True)
     assert rep.theorem_status == "INCONCLUSIVE"
@@ -97,7 +126,7 @@ def test_erratum_records_present():
 
 
 def _printed_basis_rows(monkeypatch):
-    # the printed rows for t3 and t4 give actions that are not signed permutations
+    # the printed rows for t3 and t4; simple roots 2 and 3 then miss their Cartan rows
     printed = [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 2]]
     monkeypatch.setattr(cohomring, "T_OF_OMEGA", printed)
 
@@ -119,10 +148,25 @@ def _bond_dropped(monkeypatch):
     monkeypatch.setattr(rootsys, "simple_cartan_matrix", dropped)
 
 
+def _generator_9_transposition(monkeypatch):
+    # the transposition of e_1 and e_4 fixes (1,1,1,1), but with 1, 2 and 3 it
+    # is no simple system, so the shortest words miss half of the fixers:
+    # 24 elements fix the point, 12 have words in 1, 2, 3
+    def swapped(rs, _build=rootsys.simple_generators):
+        return {**_build(rs), 9: rootsys.TSignedPerm((3, 1, 2, 0), (1, 1, 1, 1))}
+
+    monkeypatch.setattr(rootsys, "simple_generators", swapped)
+
+
 #: fault -> (plant it, the check id that must fail, text that check's detail contains);
 #: every planted fault must end the run FAILED, never in an exception
 PLANTED_FAULTS = {
-    "printed-basis-rows": (_printed_basis_rows, "t-actions", "is not a signed permutation"),
+    # (3-3) carries the printed rows of t2..t4 to no signed row
+    "printed-basis-rows": (
+        _printed_basis_rows,
+        "t-actions",
+        "intertwine (3-3): {1: True, 2: False, 3: False, 9: False}",
+    ),
     # with the printed rows, simple roots 2 and 3 do not land on their Cartan rows
     "printed-basis-rows-roundtrip": (_printed_basis_rows, "basis-roundtrip", "(-1, 2, -1, 0), (0, -1, 2, -2)"),
     # the Cartan matrix is computed from the roots, not taken from a table;
@@ -170,12 +214,21 @@ PLANTED_FAULTS = {
         "kronecker-submatrix",
         "submatrix [[2, -1, 0, 1], [-1, 2, -1, -2], [0, -1, 2, 1], [1, -2, 1, 2]]",
     ),
-    "cartan-bond-dropped-duality": (_bond_dropped, "pairing-duality", ""),
+    "cartan-bond-dropped-duality": (
+        _bond_dropped,
+        "pairing-duality",
+        "7: False, 8: False, 9: False, 10: False, 11: False, 12: False",
+    ),
     # a first root of (1, 0, 0, 0) still reflects by a signed permutation, so the group builds
     "first-root-e1-stabilizer": (
         lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (1, 0, 0, 0)),
         "stabilizer-order",
-        "enumerated 12 elements, all fixing the base point: False",
+        "6 fix (1,1,1,1), 12 have words in 1, 2, 3, the same: False",
+    ),
+    "generator-9-transposition": (
+        _generator_9_transposition,
+        "stabilizer-order",
+        "24 fix (1,1,1,1), 12 have words in 1, 2, 3, the same: False",
     ),
     "first-root-e1-orbit": (
         lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (1, 0, 0, 0)),
@@ -185,14 +238,19 @@ PLANTED_FAULTS = {
     "first-root-e1-bundle": (
         lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (1, 0, 0, 0)),
         "bundle-classes",
-        "acts: t-action of generator 1 is not a signed permutation",
+        "words: root 2 is not in the orbit of the first root",
     ),
     "first-root-e1-leaf": (
         lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (1, 0, 0, 0)),
         "leaf-restrictions",
-        "acts: t-action of generator 1 is not a signed permutation",
+        "words: root 2 is not in the orbit of the first root",
     ),
     "omega-of-t-entry": (_perturbed_omega_of_t, "basis-roundtrip", "(3, -1, 0, 0)"),
+    "omega-of-t-entry-intertwine": (
+        _perturbed_omega_of_t,
+        "t-actions",
+        "intertwine (3-3): {1: False, 2: True, 3: True, 9: True}",
+    ),
     # signs other than +-1 close to no finite group; the closure stops at 2^4 * 4! elements
     "generator-sign-two": (
         lambda mp: mp.setattr(
@@ -345,13 +403,24 @@ def test_planted_fault_fails_without_symmetry(monkeypatch, fault):
     assert check_id in [c.id for c in rep.checks if c.status == "fail"]
 
 
-#: the checks that read the t-actions, directly or through the objects built from them
-ACTS_READERS = (
+#: with the first root planted as (2, -1, 0, 0) neither the generators nor the
+#: Cartan matrix builds; each check fails on the first of the two it reads
+GENS_READERS = (
+    "weyl-order",
+    "stabilizer-order",
+    "word-table",
+    "root-orbit",
+    "kronecker-submatrix",
     "t-actions",
+    "pairing-duality",
     "invariance-suite",
     "orbit-table",
     "focal-table",
     "pontryagin-solver",
+)
+CARTAN_READERS = (
+    "cartan-matrix",
+    "basis-roundtrip",
     "bundle-classes",
     "leaf-restrictions",
     "congruence-obstruction",
@@ -361,24 +430,20 @@ ACTS_READERS = (
 def test_failed_object_is_built_once(monkeypatch):
     # a derived object that fails to build is kept as failed, not rebuilt for every reader
     monkeypatch.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (2, -1, 0, 0))
-    calls = {"simple_generators": 0, "simple_cartan_matrix": 0, "t_actions": 0}
-    for module, name in (
-        (rootsys, "simple_generators"),
-        (rootsys, "simple_cartan_matrix"),
-        (cohomring, "t_actions"),
-    ):
-        def counted(*args, _build=getattr(module, name), _name=name):
+    calls = {"simple_generators": 0, "simple_cartan_matrix": 0}
+    for name in calls:
+        def counted(*args, _build=getattr(rootsys, name), _name=name):
             calls[_name] += 1
             return _build(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(rootsys, name, counted)
     rep = obstruct.theorem_pipeline()
     assert rep.theorem_status == "FAILED"
-    # the Cartan matrix fails first, so the t-actions are never built
-    assert calls == {"simple_generators": 1, "simple_cartan_matrix": 1, "t_actions": 0}
+    assert calls == {"simple_generators": 1, "simple_cartan_matrix": 1}
     # each downstream detail names the object that failed
     details = {c.detail for c in rep.checks if "is not a signed permutation" in c.detail}
     assert details == {"gens: reflection 1 is not a signed permutation"}
-    readers = [c for c in rep.checks if c.id in ACTS_READERS and c.status == "fail"]
-    assert {c.id for c in readers} == set(ACTS_READERS)
-    assert all(c.detail.startswith("cartan: ") for c in readers)
+    failed = {c.id: c.detail for c in rep.checks if c.status == "fail"}
+    assert set(failed) == set(GENS_READERS) | set(CARTAN_READERS)
+    assert all(failed[i].startswith("gens: ") for i in GENS_READERS)
+    assert all(failed[i].startswith("cartan: ") for i in CARTAN_READERS)
