@@ -43,11 +43,12 @@ def leaf_congruence(a: int, b: int) -> tuple[str, list[int]]:
 def decompose(x: Pair) -> tuple[int, int]:
     """Solve x = n*tau + m*gamma for integers (n, m); raise if x is off that lattice."""
     a, b = x
-    m, rem_b = divmod(-b, 2)
-    n, rem_a = divmod(a - m, 2)
-    if rem_b or rem_a:
+    m = -b // 2
+    r = a - m
+    # operators, not divmod: this runs once per lattice point of the window walk
+    if b % 2 or r % 2:
         raise ValueError(f"class {x} is not an integer combination of tau and gamma")
-    return n, m
+    return r // 2, m
 
 
 def compose(n_tau: int, n_gamma: int) -> Pair:
@@ -81,9 +82,11 @@ def verify_exact_sequence(window: int) -> dict[str, bool]:
         # a = 2n + m must stay in the box; an odd column holds no lattice point
         ns = range(0) if odd else range(-((window + m) // 2), (window - m) // 2 + 1)
         lattice = [compose(n, m) for n in ns]
-        closed &= realizable == lattice
+        if realizable != lattice:
+            closed = False
         for n, x in zip(ns, lattice):
-            roundtrip &= decompose(x) == (n, m)
+            if decompose(x) != (n, m):
+                roundtrip = False
             p1 = stabilize(x)
             image.add(p1)
             if p1 == 0:

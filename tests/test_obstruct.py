@@ -447,3 +447,41 @@ def test_failed_object_is_built_once(monkeypatch):
     assert set(failed) == set(GENS_READERS) | set(CARTAN_READERS)
     assert all(failed[i].startswith("gens: ") for i in GENS_READERS)
     assert all(failed[i].startswith("cartan: ") for i in CARTAN_READERS)
+
+
+def _flip(symbol):
+    return symbol[1:] if symbol.startswith("-") else "-" + symbol
+
+
+def _single_datum_faults():
+    """(module, table name, key, wrong value) for each single-datum fault of the D4 data.
+
+    +-1 on each root coordinate, every one-letter substitution in the printed
+    words, every sign flip in the two orbit-class tables: 96 + 96 + 72 faults.
+    """
+    for i, root in rootsys._POSITIVE_ROOT_COORDS.items():
+        for c in range(4):
+            for d in (1, -1):
+                yield rootsys, "_POSITIVE_ROOT_COORDS", i, root[:c] + (root[c] + d,) + root[c + 1:]
+    for i, word in rootsys.WORD_TABLE.items():
+        for c, letter in enumerate(word):
+            for other in rootsys.SIMPLE_INDICES:
+                if other != letter:
+                    yield rootsys, "WORD_TABLE", i, word[:c] + (other,) + word[c + 1:]
+    for name in ("TABLE_AFTER_LEAF", "TABLE_FOCAL"):
+        for i, row in getattr(pontsolve, name).items():
+            for c in range(4):
+                yield pontsolve, name, i, row[:c] + (_flip(row[c]),) + row[c + 1:]
+
+
+def test_every_single_datum_fault_fails(monkeypatch):
+    # each fault is planted in a copy of its table, so the module's own dict is never written
+    first_failures = {}
+    for module, name, key, wrong in _single_datum_faults():
+        with monkeypatch.context() as mp:
+            mp.setattr(module, name, {**getattr(module, name), key: wrong})
+            rep = obstruct.theorem_pipeline()
+        assert rep.theorem_status == "FAILED", (name, key, wrong)
+        first = next(c.id for c in rep.checks if c.status == "fail")
+        first_failures[first] = first_failures.get(first, 0) + 1
+    assert first_failures == {"word-table": 160, "orbit-table": 48, "weyl-order": 32, "focal-table": 24}

@@ -51,6 +51,17 @@ def test_decompose_rejects_unrealizable():
         vect4.decompose((1, 0))
 
 
+def test_decompose_is_exact_on_a_box():
+    # every quotient is tested for a remainder: an odd b and an odd a - m both raise
+    for a in range(-9, 10):
+        for b in range(-9, 10):
+            if (2 * a - b) % 4:
+                with pytest.raises(ValueError, match=re.escape(f"class {(a, b)} is not")):
+                    vect4.decompose((a, b))
+            else:
+                assert vect4.compose(*vect4.decompose((a, b))) == (a, b)
+
+
 @given(st.integers(-10, 10), st.integers(-10, 10))
 def test_decompose_roundtrip(n, m):
     assert vect4.decompose(vect4.compose(n, m)) == (n, m)
@@ -145,7 +156,7 @@ def test_exact_sequence_walk_rejects_off_lattice_compose(monkeypatch):
 
 
 # lattice points of the box |a|, |b| <= window
-@pytest.mark.parametrize("window, points", [(20, 431), (21, 451)])
+@pytest.mark.parametrize("window, points", [(20, 431), (21, 451), (200, 40301)])
 def test_exact_sequence_walk_call_counts(monkeypatch, window, points):
     calls = dict.fromkeys(("is_realizable", "compose", "decompose", "stabilize"), 0)
     for name in calls:
