@@ -55,24 +55,24 @@ class _Unbuilt(ValueError):
 class _derived:
     """Like ``functools.cached_property``, but keeps a ``ValueError`` as well as a value.
 
-    Every later read of an object that failed raises ``_Unbuilt`` naming it; an
-    object built from it passes that error on unchanged.
+    A built object is stored under its own name, so every later read is a plain
+    attribute lookup. A failure is stored as its message under ``"_" + name``;
+    every later read raises ``_Unbuilt`` with it, and an object built from it
+    passes that error on unchanged.
     """
 
     def __init__(self, build):
         self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
 
     def __get__(self, run, owner=None):
-        key = "_" + self.name
-        if key not in vars(run):
+        failed = "_" + self.name
+        if failed not in vars(run):
             try:
-                vars(run)[key] = self.build(run), None
+                value = vars(run)[self.name] = self.build(run)
+                return value
             except ValueError as exc:
-                vars(run)[key] = None, str(exc) if isinstance(exc, _Unbuilt) else f"{self.name}: {exc}"
-        value, error = vars(run)[key]
-        if error is not None:
-            raise _Unbuilt(error)
-        return value
+                vars(run)[failed] = str(exc) if isinstance(exc, _Unbuilt) else f"{self.name}: {exc}"
+        raise _Unbuilt(vars(run)[failed])
 
 
 #: Half-width of the box |a|, |b| <= window that ``exact-sequence-window`` checks.
@@ -124,9 +124,10 @@ class Run:
     @_derived
     def pushed(self):
         """(d_k, b_k) per root label: d_1 and b_1 pushed along the root's word by (3-3)/(3-4)."""
-        pushed = {}
-        for i, word in self.words.items():
-            d, b = cohomring.euler_class_d(self.cartan, 1), unit(1)
+        words = self.words  # read first: a failed orbit is named before a failed Cartan matrix
+        pushed, d1, b1 = {}, cohomring.euler_class_d(self.cartan, 1), unit(1)
+        for i, word in words.items():
+            d, b = d1, b1
             for label in reversed(word):  # the rightmost letter acts first
                 d = cohomring.cohomology_action_omega(self.cartan, label, d)
                 b = cohomring.homology_action(self.cartan, label, b)

@@ -449,6 +449,41 @@ def test_failed_object_is_built_once(monkeypatch):
     assert all(failed[i].startswith("cartan: ") for i in CARTAN_READERS)
 
 
+def test_built_object_is_read_as_a_plain_attribute(monkeypatch):
+    # each derived object passes through the descriptor once, when it is built
+    reads = []
+    get = obstruct._derived.__get__
+
+    def counted(self, run, owner=None):
+        reads.append(self.name)
+        return get(self, run, owner)
+
+    monkeypatch.setattr(obstruct._derived, "__get__", counted)
+    assert obstruct.theorem_pipeline().theorem_status == "OBSTRUCTED"
+    derived = [name for name, value in vars(obstruct.Run).items() if isinstance(value, obstruct._derived)]
+    assert len(derived) == 11
+    assert sorted(reads) == sorted(derived)
+
+    # a failed object is not stored as an attribute: each read raises its message again, unrebuilt
+    monkeypatch.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (2, -1, 0, 0))
+    calls = []
+    build = rootsys.simple_generators
+
+    def counted_build(rs):
+        calls.append(rs)
+        return build(rs)
+
+    monkeypatch.setattr(rootsys, "simple_generators", counted_build)
+    run = obstruct.Run()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(obstruct._Unbuilt) as exc:
+            run.gens
+        messages.append(str(exc.value))
+    assert messages[0].startswith("gens: reflection 1 ") and messages[0] == messages[1]
+    assert len(calls) == 1
+
+
 def _flip(symbol):
     return symbol[1:] if symbol.startswith("-") else "-" + symbol
 
