@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import mul
 
 from .rootsys import SIMPLE_INDICES, CartanMatrix, TSignedPerm
 
@@ -48,12 +49,12 @@ T_OF_OMEGA = [
 
 def omega_from_t(c: tuple) -> tuple:
     """The omega coordinates of a class given in t coordinates."""
-    return tuple(sum(x * row[j] for x, row in zip(c, T_OF_OMEGA)) for j in range(4))
+    return tuple([sum(map(mul, c, col)) for col in zip(*T_OF_OMEGA)])
 
 
 def kronecker(c: tuple, h: tuple) -> int:
     """Evaluation pairing of an omega-basis class with a b-basis class; the bases are dual."""
-    return sum(a * b for a, b in zip(c, h))
+    return sum(map(mul, c, h))
 
 
 def euler_class_d(cartan: CartanMatrix, i: int) -> tuple:
@@ -68,14 +69,15 @@ def homology_action(cartan: CartanMatrix, i: int, h: tuple) -> tuple:
     """Reflection action on homology: b_j -> b_j - beta_ij * b_i."""
     r = _pos(i)
     out = list(h)
-    out[r] -= sum(cartan[r][j] * h[j] for j in range(4))
+    out[r] -= sum(map(mul, cartan[r], h))
     return tuple(out)
 
 
 def cohomology_action_omega(cartan: CartanMatrix, i: int, c: tuple) -> tuple:
     """Dual reflection action in the omega basis, extended linearly."""
     r = _pos(i)
-    return tuple(c[j] - c[r] * cartan[r][j] for j in range(4))
+    row, x = cartan[r], c[r]
+    return (c[0] - x * row[0], c[1] - x * row[1], c[2] - x * row[2], c[3] - x * row[3])
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,7 @@ def act_on_polynomial(sp: TSignedPerm, p: dict) -> dict:
     puts on them are dropped); the term picks up the sign prod_j signs[j]^e_j.
     """
     return {
-        tuple(map(abs, sp.apply(expo))): math.prod(s**e for s, e in zip(sp.signs, expo)) * coeff
+        tuple(map(abs, sp.apply(expo))): math.prod(map(pow, sp.signs, expo)) * coeff
         for expo, coeff in p.items()
     }
 

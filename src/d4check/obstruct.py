@@ -9,6 +9,7 @@ off ``vect4``, and certify that their residue sets are disjoint.
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import mul
 from typing import NamedTuple
 
 from . import cohomring, pontsolve, rootsys, vect4
@@ -65,6 +66,8 @@ class _derived:
         self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
 
     def __get__(self, run, owner=None):
+        if run is None:
+            return self
         failed = "_" + self.name
         if failed not in vars(run):
             try:
@@ -237,11 +240,9 @@ def _reflections_on_t(run):
 
 
 def _pairing_duality(run):
-    # b_k names the root sum_j b_k[j] * (simple root j)
-    roots = {
-        k: tuple(sum(x * run.rs[j][t] for x, j in zip(b, SIMPLE_INDICES)) for t in range(4)) == run.rs[k]
-        for k, (_, b) in run.pushed.items()
-    }
+    # b_k names the root sum_j b_k[j] * (simple root j), whose entry t pairs b_k with column t of the simple roots
+    columns = list(zip(*[run.rs[j] for j in SIMPLE_INDICES]))
+    roots = {k: tuple([sum(map(mul, b, col)) for col in columns]) == run.rs[k] for k, (_, b) in run.pushed.items()}
     return all(roots.values()), f"per-root results: {roots}"
 
 

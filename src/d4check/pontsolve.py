@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from operator import neg, sub
 
 from .cohomring import T_OF_OMEGA, euler_class_d, omega_from_t
 from .rootsys import CartanMatrix, TSignedPerm, inner
@@ -37,7 +38,7 @@ def _sum(classes) -> SymbolicClass:
 
 def apply_pullback(sp: TSignedPerm, cls: SymbolicClass) -> SymbolicClass:
     """``sp.apply`` on the t-vector of each unknown: the columns of ``cls``."""
-    return tuple(zip(*(sp.apply(col) for col in zip(*cls))))
+    return tuple(zip(*map(sp.apply, zip(*cls))))
 
 
 def orbit_classes(gens: dict[int, TSignedPerm], words: dict[int, tuple[int, ...]]) -> dict[int, SymbolicClass]:
@@ -84,7 +85,7 @@ def symmetry_constraint(classes: dict[int, SymbolicClass], gens: dict[int, TSign
     """
     total = focal_sum(classes)
     return [
-        tuple(a - b for a, b in zip(image, form))
+        tuple(map(sub, image, form))
         for g in (1, 2, 3)
         for image, form in zip(apply_pullback(gens[g], total), total)
     ]
@@ -176,11 +177,14 @@ def _substitute(form: LinForm, k3_is_minus_k: bool) -> tuple[int, int, int]:
     return (k, k3, k4)
 
 
+#: The unit form over (k1, k2, k3, k4) of each unsigned table symbol.
+_UNIT_FORMS = {"k": (1, 0, 0, 0), "k3": (0, 0, 1, 0), "k4": (0, 0, 0, 1)}
+
+
 def _symbol_form(sym: str) -> LinForm:
     """A table symbol as a form over (k1, k2, k3, k4); "k" stands for k1."""
-    sign = -1 if sym.startswith("-") else 1
-    i = {"k": 0, "k3": 2, "k4": 3}[sym.lstrip("-")]
-    return tuple(sign if j == i else 0 for j in range(4))
+    form = _UNIT_FORMS[sym.lstrip("-")]
+    return tuple(map(neg, form)) if sym.startswith("-") else form
 
 
 def _match_table(table: dict, rows: range, classes: dict[int, SymbolicClass], k3_is_minus_k: bool) -> dict:

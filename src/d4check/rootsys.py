@@ -15,6 +15,7 @@ multiplies group elements: an orbit reads each image's word off the group.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple, Sequence
 
 #: Labels of the simple reflections, in the fixed generator order.
@@ -23,7 +24,7 @@ SIMPLE_INDICES = (1, 2, 3, 9)
 
 def inner(u: tuple, v: tuple) -> int:
     """Euclidean inner product of two vectors in e-coordinates."""
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 class TSignedPerm(NamedTuple):

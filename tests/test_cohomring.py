@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +113,64 @@ def test_pairing_is_basis_independent(c):
     h = (2, -3, 5, 7)
     t_pairings = [ch.kronecker(row, h) for row in ch.T_OF_OMEGA]
     assert sum(y * p for y, p in zip(c, t_pairings)) == ch.kronecker(ch.omega_from_t(c), h)
+
+
+# -- integer kernels against their defining formulas ------------------------
+
+
+integer = st.integers()
+vector = st.tuples(integer, integer, integer, integer)
+matrix = st.lists(st.lists(integer, min_size=4, max_size=4), min_size=4, max_size=4)
+simple_index = st.sampled_from(SIMPLE_INDICES)
+
+
+def _is_int_tuple(v):
+    return type(v) is tuple and len(v) == 4 and all(type(x) is int for x in v)
+
+
+@given(vector, vector)
+def test_pairings_are_sums_of_products(u, v):
+    expected = u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+    assert inner(u, v) == ch.kronecker(u, v) == expected
+    assert type(inner(u, v)) is int and type(ch.kronecker(u, v)) is int
+
+
+@given(matrix, simple_index, vector)
+def test_actions_match_their_formulas_on_any_matrix(b, i, v):
+    # (3-3) and (3-4) with any integer matrix in place of the Cartan matrix
+    r = SIMPLE_INDICES.index(i)
+    omega = ch.cohomology_action_omega(b, i, v)
+    assert omega == tuple(v[j] - v[r] * b[r][j] for j in range(4)) and _is_int_tuple(omega)
+    homology = ch.homology_action(b, i, v)
+    assert homology == tuple(v[j] - (j == r) * sum(b[r][k] * v[k] for k in range(4)) for j in range(4))
+    assert _is_int_tuple(homology)
+
+
+@given(matrix, vector)
+def test_omega_from_t_reads_the_table_at_call_time(t_of_omega, c):
+    # t_i = sum_j T[i][j] omega_j, so omega_j of sum_i c_i t_i is sum_i c_i T[i][j]
+    with mock.patch.object(ch, "T_OF_OMEGA", t_of_omega):
+        got = ch.omega_from_t(c)
+    assert got == tuple(sum(c[i] * t_of_omega[i][j] for i in range(4)) for j in range(4))
+    assert _is_int_tuple(got)
+
+
+signed_permutation = st.tuples(
+    st.permutations(range(4)).map(tuple), st.tuples(*[st.sampled_from((1, -1))] * 4)
+).map(lambda ps: TSignedPerm(*ps))
+
+
+@given(signed_permutation, st.dictionaries(st.tuples(*[st.integers(0, 6)] * 4), integer.filter(bool)))
+def test_act_on_polynomial_sign_is_a_product_of_powers(sp, p):
+    # t_j -> signs[j] t_perm[j] sends t^e to prod_j signs[j]^e_j times the monomial with e_j at perm[j]
+    expected = {}
+    for expo, coeff in p.items():
+        image, sign = [0] * 4, 1
+        for j in range(4):
+            image[sp.perm[j]] = expo[j]
+            sign *= sp.signs[j] ** expo[j]
+        expected[tuple(image)] = sign * coeff
+    assert ch.act_on_polynomial(sp, p) == expected
 
 
 # -- induced actions --------------------------------------------------------

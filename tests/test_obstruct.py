@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 
 from d4check import cohomring, obstruct, pontsolve, rootsys, vect4
@@ -482,6 +485,60 @@ def test_built_object_is_read_as_a_plain_attribute(monkeypatch):
         messages.append(str(exc.value))
     assert messages[0].startswith("gens: reflection 1 ") and messages[0] == messages[1]
     assert len(calls) == 1
+
+
+def test_derived_object_read_on_the_class_is_its_descriptor():
+    # like functools.cached_property: getattr, inspect and help read the descriptor off the class
+    assert isinstance(obstruct.Run.rs, obstruct._derived)
+    derived = {name for name, value in vars(obstruct.Run).items() if isinstance(value, obstruct._derived)}
+    members = dict(inspect.getmembers(obstruct.Run))
+    assert {name for name in derived if members[name] is vars(obstruct.Run)[name]} == derived
+    assert obstruct.Run.pushed.__doc__.startswith("(d_k, b_k) per root label")
+
+
+#: The fixed-length integer kernels of the certificate: each runs on map, sum
+#: and written-out entries, with no generator frame per element.
+INTEGER_KERNELS = (
+    rootsys.inner,
+    cohomring.omega_from_t,
+    cohomring.kronecker,
+    cohomring.homology_action,
+    cohomring.cohomology_action_omega,
+    cohomring.act_on_polynomial,
+    pontsolve.apply_pullback,
+    pontsolve.symmetry_constraint,
+    pontsolve._symbol_form,
+    obstruct._pairing_duality,
+)
+
+
+def test_kernels_open_no_generator_frame():
+    kernels = {f.__code__: f.__qualname__ for f in INTEGER_KERNELS}
+    entered, generators = set(), []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code in kernels:
+            entered.add(kernels[frame.f_code])
+        elif frame.f_code.co_name == "<genexpr>":
+            # a generator resumed by sum, tuple or a comprehension of a kernel;
+            # comprehensions open frames of their own before Python 3.12
+            caller = frame.f_back
+            while caller is not None and caller.f_code.co_name.startswith("<"):
+                caller = caller.f_back
+            if caller is not None and caller.f_code in kernels:
+                generators.append(kernels[caller.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        rep = obstruct.theorem_pipeline()
+    finally:
+        sys.setprofile(previous)
+    assert rep.theorem_status == "OBSTRUCTED"
+    assert entered == set(kernels.values())
+    assert generators == []
 
 
 def _flip(symbol):
