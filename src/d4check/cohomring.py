@@ -104,7 +104,7 @@ def expand(*terms) -> dict:
 def _symmetric(i: int, power: int) -> dict:
     """The i-th elementary symmetric function in t1^power..t4^power."""
     combos = itertools.combinations(range(4), i)
-    return {tuple(power if j in c else 0 for j in range(4)): 1 for c in combos}
+    return {tuple([power if j in c else 0 for j in range(4)]): 1 for c in combos}
 
 
 def elementary_symmetric(i: int) -> dict:
@@ -123,24 +123,29 @@ def theta(i: int) -> dict:
 def act_on_polynomial(sp: TSignedPerm, p: dict) -> dict:
     """Substitute each t_j by its image under ``sp``, extended multiplicatively.
 
-    ``sp.apply`` moves each exponent to its variable's image (the signs it
-    puts on them are dropped); the term picks up the sign prod_j signs[j]^e_j.
+    Exponent j moves to the variable ``perm[j]``, and the term picks up the
+    sign prod_j signs[j]^e_j.
     """
-    return {
-        tuple(map(abs, sp.apply(expo))): math.prod(map(pow, sp.signs, expo)) * coeff
-        for expo, coeff in p.items()
-    }
+    (p0, p1, p2, p3), signs = sp
+    image: dict[tuple, int] = {}
+    for expo, coeff in p.items():
+        moved = [0, 0, 0, 0]
+        moved[p0], moved[p1], moved[p2], moved[p3] = expo
+        image[tuple(moved)] = math.prod(map(pow, signs, expo)) * coeff
+    return image
 
 
 def is_invariant(p: dict, generators) -> bool:
     return all(act_on_polynomial(g, p) == p for g in generators)
 
 
-def verify_theta_identities() -> dict[str, bool]:
-    """The three expansions of theta_i in the elementary symmetric functions."""
-    e = {i: elementary_symmetric(i) for i in range(1, 5)}
+def verify_theta_identities(e: dict[int, dict], th: dict[int, dict]) -> dict[str, bool]:
+    """The three expansions of theta_i in the elementary symmetric functions.
+
+    ``e`` maps 1..4 to e_1..e_4 and ``th`` maps 1..3 to theta_1..theta_3.
+    """
     return {
-        "theta1": expand((1, theta(1)), (-1, e[1], e[1]), (2, e[2])) == {},
-        "theta2": expand((1, theta(2)), (-1, e[2], e[2]), (2, e[1], e[3]), (-2, e[4])) == {},
-        "theta3": expand((1, theta(3)), (-1, e[3], e[3]), (2, e[2], e[4])) == {},
+        "theta1": expand((1, th[1]), (-1, e[1], e[1]), (2, e[2])) == {},
+        "theta2": expand((1, th[2]), (-1, e[2], e[2]), (2, e[1], e[3]), (-2, e[4])) == {},
+        "theta3": expand((1, th[3]), (-1, e[3], e[3]), (2, e[2], e[4])) == {},
     }

@@ -158,6 +158,12 @@ class Run:
         euler, p1_unit = self.bundle
         return tuple((kronecker(euler, b), kronecker(p1_unit, b)) for _, b in (self.pushed[2], self.pushed[9]))
 
+    @_derived
+    def invariants(self):
+        """(e, theta): e_1..e_4 and theta_1..theta_3 by index, the polynomials of Lemma 5."""
+        e = {i: cohomring.elementary_symmetric(i) for i in range(1, 5)}
+        return e, {i: cohomring.theta(i) for i in range(1, 4)}
+
     def selected(self) -> list[Check]:
         """The checks this run's switches keep, in certificate order."""
         return [c for c in CHECKS if c.when(self)]
@@ -247,15 +253,14 @@ def _pairing_duality(run):
 
 
 def _theta_identities(run):
-    thetas = cohomring.verify_theta_identities()
+    thetas = cohomring.verify_theta_identities(*run.invariants)
     return all(thetas.values()), f"{thetas}"
 
 
 def _invariance_suite(run):
     full_gens = [run.gens[i] for i in SIMPLE_INDICES]
     stab_gens = [run.gens[i] for i in (1, 2, 3)]
-    e = {i: cohomring.elementary_symmetric(i) for i in range(1, 5)}
-    th = {i: cohomring.theta(i) for i in range(1, 4)}
+    e, th = run.invariants
     ok = (
         all(cohomring.is_invariant(th[i], full_gens) for i in range(1, 4))
         and cohomring.is_invariant(e[4], full_gens)

@@ -37,8 +37,14 @@ def _sum(classes) -> SymbolicClass:
 
 
 def apply_pullback(sp: TSignedPerm, cls: SymbolicClass) -> SymbolicClass:
-    """``sp.apply`` on the t-vector of each unknown: the columns of ``cls``."""
-    return tuple(zip(*map(sp.apply, zip(*cls))))
+    """``sp.apply`` on the t-vector of each unknown: the columns of ``cls``.
+
+    Coefficient form j moves to ``perm[j]``, negated where ``signs[j]`` is -1.
+    """
+    (p0, p1, p2, p3), signs = sp
+    out = [None] * 4
+    out[p0], out[p1], out[p2], out[p3] = [form if s > 0 else tuple(map(neg, form)) for form, s in zip(cls, signs)]
+    return tuple(out)
 
 
 def orbit_classes(gens: dict[int, TSignedPerm], words: dict[int, tuple[int, ...]]) -> dict[int, SymbolicClass]:
@@ -182,8 +188,13 @@ _UNIT_FORMS = {"k": (1, 0, 0, 0), "k3": (0, 0, 1, 0), "k4": (0, 0, 0, 1)}
 
 
 def _symbol_form(sym: str) -> LinForm:
-    """A table symbol as a form over (k1, k2, k3, k4); "k" stands for k1."""
-    form = _UNIT_FORMS[sym.lstrip("-")]
+    """A table symbol as a form over (k1, k2, k3, k4); "k" stands for k1.
+
+    Raises ValueError naming any other symbol.
+    """
+    form = _UNIT_FORMS.get(sym.lstrip("-"))
+    if form is None:
+        raise ValueError(f"unknown table symbol {sym!r}")
     return tuple(map(neg, form)) if sym.startswith("-") else form
 
 

@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
-from .obstruct import VerificationReport
+from .obstruct import CheckRecord, VerificationReport
 
 SCHEMA_VERSION = 1
 
+#: One check record as ``json.dumps(..., indent=2)`` lays it out in the checks
+#: list, with a ``%s`` for each field's encoded string.
+_RECORD = "    {\n" + ",\n".join([f'      "{name}": %s' for name in CheckRecord._fields]) + "\n    }"
+
 
 def to_json(rep: VerificationReport) -> str:
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "theorem": rep.theorem_status,
-        "checks": [c._asdict() for c in rep.checks],
-    }
-    return json.dumps(payload, indent=2)
+    """Schema 1, byte for byte as ``json.dumps(payload, indent=2)`` writes it.
+
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set, so
+    the layout is written here and only the strings go through json's (C)
+    string encoder.
+    """
+    records = ",\n".join([_RECORD % tuple(map(encode_basestring_ascii, c)) for c in rep.checks])
+    checks = f"[\n{records}\n  ]" if rep.checks else "[]"
+    theorem = encode_basestring_ascii(rep.theorem_status)
+    return f'{{\n  "schema": {SCHEMA_VERSION},\n  "theorem": {theorem},\n  "checks": {checks}\n}}'
 
 
 _STATUS_MARK = {"pass": "ok  ", "fail": "FAIL", "noted-erratum": "note"}

@@ -2,12 +2,22 @@
 
 ``d4check`` multiplies group elements only inside ``rootsys.enumerate_group``;
 these plain definitions are what the tests compare it, and the words it
-returns, against.
+returns, against.  ``ALL_SIGNED_PERMS`` lists every signed permutation, for
+tests that run a kernel on each.
 """
+
+import itertools
 
 from d4check.rootsys import TSignedPerm
 
 IDENTITY = TSignedPerm((0, 1, 2, 3), (1, 1, 1, 1))
+
+#: Every signed permutation of four coordinates, 2^4 * 4! = 384 of them.
+ALL_SIGNED_PERMS = [
+    TSignedPerm(perm, signs)
+    for perm in itertools.permutations(range(4))
+    for signs in itertools.product((1, -1), repeat=4)
+]
 
 
 def compose(outer: TSignedPerm, inner: TSignedPerm) -> TSignedPerm:

@@ -82,7 +82,7 @@ def test_criterion_04_t_actions_and_duality():
 
 def test_criterion_05_theta_identities():
     report("5. three theta identities are literal zero polynomials",
-           all(ch.verify_theta_identities().values()))
+           all(ch.verify_theta_identities(*obstruct.Run().invariants).values()))
 
 
 def test_criterion_06_invariance_suite(gens):

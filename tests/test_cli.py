@@ -6,11 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import d4check
 from d4check import pontsolve, report, rootsys, vect4
 from d4check.cli import main
-from d4check.obstruct import CHECK_IDS, theorem_pipeline
+from d4check.obstruct import CHECK_IDS, CheckRecord, VerificationReport, theorem_pipeline
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +36,23 @@ def test_verify_all_json_schema(capsys):
     for check in payload["checks"]:
         assert list(check.keys()) == ["id", "ref", "statement", "status", "detail"]
         assert check["status"] in ("pass", "noted-erratum")
+
+
+#: any code point, lone surrogates included, with quotes, backslashes and control characters drawn often
+fields = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\u2028\ud800\udfffé'), st.characters(exclude_categories=()))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@example(checks=[], status="NOT-RUN")
+@given(st.lists(st.builds(CheckRecord, *[fields] * 5), max_size=4), st.sampled_from(["OBSTRUCTED", "FAILED"]) | fields)
+def test_json_report_matches_json_dumps(checks, status):
+    # the reference is the indented pure-Python encoder the renderer replaces
+    rep = VerificationReport()
+    rep.checks, rep.theorem_status = checks, status
+    payload = {"schema": report.SCHEMA_VERSION, "theorem": status, "checks": [c._asdict() for c in checks]}
+    assert report.to_json(rep) == json.dumps(payload, indent=2)
 
 
 def test_verify_all_json_deterministic(capsys):

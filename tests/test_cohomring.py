@@ -1,4 +1,5 @@
 import itertools
+import math
 from unittest import mock
 
 import pytest
@@ -8,7 +9,7 @@ from d4check import cohomring as ch
 from d4check import obstruct
 from d4check.cohomring import TSignedPerm
 from d4check.rootsys import SIMPLE_INDICES, build_d4, cartan_number, inner, simple_cartan_matrix, simple_generators
-from signed_perms import IDENTITY, compose
+from signed_perms import ALL_SIGNED_PERMS, IDENTITY, compose
 
 
 @pytest.fixture(scope="module")
@@ -262,11 +263,29 @@ def test_theta1_shape():
 
 
 def test_theta_identities():
-    assert ch.verify_theta_identities() == {
+    e = {i: ch.elementary_symmetric(i) for i in range(1, 5)}
+    th = {i: ch.theta(i) for i in range(1, 4)}
+    assert ch.verify_theta_identities(e, th) == {
         "theta1": True,
         "theta2": True,
         "theta3": True,
     }
+    # theta_i without the squares is e_i, which none of the expansions gives
+    assert ch.verify_theta_identities(e, e) == {"theta1": False, "theta2": False, "theta3": False}
+
+
+def test_pipeline_builds_the_invariants_once(monkeypatch):
+    # theta-identities and invariance-suite read the seven polynomials off the run
+    calls = []
+    build = ch._symmetric
+
+    def counted(i, power):
+        calls.append((i, power))
+        return build(i, power)
+
+    monkeypatch.setattr(ch, "_symmetric", counted)
+    assert obstruct.theorem_pipeline().theorem_status == "OBSTRUCTED"
+    assert sorted(calls) == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]
 
 
 def test_act_on_e1_by_sign_flip(rs, acts):
@@ -293,6 +312,19 @@ def test_invariance_suite(rs, acts):
         assert ch.is_invariant(ch.elementary_symmetric(i), stab)
     assert not ch.is_invariant(ch.elementary_symmetric(1), [acts[9]])
     assert ch.is_invariant({(0, 0, 0, 0): 7}, full)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=5)] * 4), st.integers(), max_size=6))
+def test_act_on_polynomial_places_each_exponent(p):
+    # the reference moves each exponent with sp.apply and strips the signs it puts on them
+    assert len(set(ALL_SIGNED_PERMS)) == 384
+    for sp in ALL_SIGNED_PERMS:
+        expected = {
+            tuple(map(abs, sp.apply(expo))): math.prod(map(pow, sp.signs, expo)) * coeff
+            for expo, coeff in p.items()
+        }
+        assert ch.act_on_polynomial(sp, p) == expected
 
 
 def test_polynomial_action_is_multiplicative(acts):

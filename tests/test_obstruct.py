@@ -297,6 +297,17 @@ PLANTED_FAULTS = {
         "focal-table",
         "8: False",
     ),
+    # a misspelt symbol is no form over the unknowns
+    "orbit-table-symbol": (
+        lambda mp: mp.setitem(pontsolve.TABLE_AFTER_LEAF, 4, ("k5", "k3", "k", "k4")),
+        "orbit-table",
+        "unknown table symbol 'k5'",
+    ),
+    "focal-table-symbol": (
+        lambda mp: mp.setitem(pontsolve.TABLE_FOCAL, 7, ("k", "-k", "-k", "-kk4")),
+        "focal-table",
+        "unknown table symbol '-kk4'",
+    ),
     # a table row that is missing is no row that matches
     "orbit-table-row-dropped": (
         lambda mp: mp.delitem(pontsolve.TABLE_AFTER_LEAF, 4),
@@ -464,7 +475,7 @@ def test_built_object_is_read_as_a_plain_attribute(monkeypatch):
     monkeypatch.setattr(obstruct._derived, "__get__", counted)
     assert obstruct.theorem_pipeline().theorem_status == "OBSTRUCTED"
     derived = [name for name, value in vars(obstruct.Run).items() if isinstance(value, obstruct._derived)]
-    assert len(derived) == 11
+    assert len(derived) == 12
     assert sorted(reads) == sorted(derived)
 
     # a failed object is not stored as an attribute: each read raises its message again, unrebuilt
@@ -504,6 +515,7 @@ INTEGER_KERNELS = (
     cohomring.kronecker,
     cohomring.homology_action,
     cohomring.cohomology_action_omega,
+    cohomring._symmetric,
     cohomring.act_on_polynomial,
     pontsolve.apply_pullback,
     pontsolve.symmetry_constraint,

@@ -8,7 +8,7 @@ from d4check import cohomring as ch
 from d4check import obstruct
 from d4check import pontsolve as ps
 from d4check.rootsys import WORD_TABLE, build_d4, enumerate_group, simple_cartan_matrix, simple_generators
-from signed_perms import compose, element_from_word
+from signed_perms import ALL_SIGNED_PERMS, compose, element_from_word
 
 #: each root's word as printed; root 1 has the empty word
 WORDS = {1: (), **WORD_TABLE}
@@ -74,6 +74,18 @@ def test_classes_are_pullbacks_by_the_word_elements(acts, classes):
 def test_run_classes_read_the_group_words(classes):
     # the words a run reads off the Weyl group give the same twelve classes
     assert obstruct.Run().classes == classes
+
+
+forms = st.tuples(*[st.integers()] * 4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(*[forms] * 4))
+def test_pullback_places_each_form(cls):
+    # the reference applies sp to each unknown's t-vector, the columns of the class
+    assert len(set(ALL_SIGNED_PERMS)) == 384
+    for sp in ALL_SIGNED_PERMS:
+        assert ps.apply_pullback(sp, cls) == tuple(zip(*map(sp.apply, zip(*cls))))
 
 
 def test_pullback_roundtrip(acts, classes):
