@@ -8,6 +8,7 @@ off ``vect4``, and certify that their residue sets are disjoint.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from operator import mul
 from typing import NamedTuple
@@ -297,15 +298,15 @@ def _bundle_classes(run):
 
 
 def _generator_pairs(run):
+    # gcd 1: the rule maps Z^2 onto Z/mod, so the realizable pairs, its kernel,
+    # have index mod, and two of them with |det| = mod span them
+    ca, cb, mod = vect4.RULE
     t, g = vect4.tau(), vect4.gamma()
-    ok = (
-        t == (2, 0)
-        and g == (1, -2)
-        and vect4.is_realizable(*t)
-        and vect4.is_realizable(*g)
-        and not vect4.is_realizable(1, 0)
-    )
-    return ok, ""
+    gcd, det = math.gcd(ca, cb, mod), abs(t[0] * g[1] - t[1] * g[0])
+    tr, gr, unit = (vect4.is_realizable(*x) for x in (t, g, (1, 0)))
+    ok = t == (2, 0) and g == (1, -2) and gcd == 1 and tr and gr and not unit and det == mod
+    realizable = f"tau {t} {tr}, gamma {g} {gr}, (1, 0) {unit}"
+    return ok, f"gcd{vect4.RULE} = {gcd}; realizable: {realizable}; |det(tau, gamma)| = {det}"
 
 
 def _exact_sequence_window(run):
@@ -382,7 +383,8 @@ CHECKS = (
               "read w4 as w9; the derivation and the basis list both give 2k(w2 - w9)",
           )),
     Check("generator-pairs", "Lemma 9 Example",
-          "the tangent and quaternionic classes are (2,0) and (1,-2), both realizable; (1,0) is not",
+          "the tangent and quaternionic classes (2,0) and (1,-2) span the realizable pairs, of index 4; "
+          "(1,0) is not one",
           _generator_pairs, when=_with_symmetry),
     Check("exact-sequence-window", "Lemma 9",
           "stabilization kernel/image and subgroup structure hold on the window |a|,|b| <= {window}",

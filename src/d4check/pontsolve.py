@@ -188,11 +188,11 @@ _UNIT_FORMS = {"k": (1, 0, 0, 0), "k3": (0, 0, 1, 0), "k4": (0, 0, 0, 1)}
 
 
 def _symbol_form(sym: str) -> LinForm:
-    """A table symbol as a form over (k1, k2, k3, k4); "k" stands for k1.
+    """A table symbol, exactly -?(k|k3|k4), as a form over (k1, k2, k3, k4); "k" stands for k1.
 
-    Raises ValueError naming any other symbol.
+    Raises ValueError naming any other symbol, such as "--k".
     """
-    form = _UNIT_FORMS.get(sym.lstrip("-"))
+    form = _UNIT_FORMS.get(sym.removeprefix("-"))
     if form is None:
         raise ValueError(f"unknown table symbol {sym!r}")
     return tuple(map(neg, form)) if sym.startswith("-") else form

@@ -1,17 +1,23 @@
 """Arithmetic model of rank-4 and rank-5 bundles over the 4-sphere (Lemma 9).
 
 A rank-4 bundle is identified with the integer pair (a, b) of its Euler and
-first Pontryagin numbers, a plain tuple; the realizable pairs are exactly
-those with 2a - b divisible by 4, which is decided only by ``is_realizable``.
-They form the lattice spanned by tau and gamma.  Stabilization forgets the
-Euler number.  ``verify_exact_sequence`` checks this on a window box in one
-walk, column by column, asking ``is_realizable`` once per pair of the box.
+first Pontryagin numbers, a plain tuple.  The realizable pairs are those that
+satisfy ``RULE``, 2a - b = 0 (mod 4), the relation p1 = 2e (mod 4) (Milnor,
+Ann. of Math. 64, 1956); ``is_realizable`` evaluates it on one pair.  They
+form the lattice spanned by tau and gamma.  Stabilization forgets the Euler
+number.  ``verify_exact_sequence`` checks this on a window box without asking
+about any pair: it reads the rule, and the lattice, one column at a time.
 """
 
 from __future__ import annotations
 
+import math
+
 #: (Euler number, first Pontryagin number)
 Pair = tuple[int, int]
+
+#: The realizability rule (c_a, c_b, mod): c_a*a + c_b*b = 0 (mod mod).
+RULE = (2, -1, 4)
 
 
 def tau() -> Pair:
@@ -25,19 +31,22 @@ def gamma() -> Pair:
 
 
 def is_realizable(a: int, b: int) -> bool:
-    """A pair is a genuine rank-4 bundle iff 2a - b vanishes mod 4."""
-    return (2 * a - b) % 4 == 0
+    """A pair is a genuine rank-4 bundle iff it satisfies ``RULE``."""
+    ca, cb, mod = RULE
+    return (ca * a + cb * b) % mod == 0
 
 
 def leaf_congruence(a: int, b: int) -> tuple[str, list[int]]:
-    """The realizability congruence of the pairs (a, k*b), and its residues k mod 4.
+    """The realizability congruence of the pairs (a, k*b), and its residues k mod the rule's modulus.
 
-    The condition is linear in k and read mod 4, so the residues decide it for
-    every integer k.
+    The condition is linear in k and read mod that modulus, so the residues
+    decide it for every integer k.
     """
-    const = f" {'-' if a < 0 else '+'} {abs(2 * a)}" if a else ""
-    residues = [k for k in range(4) if is_realizable(a, k * b)]
-    return f"{-b}k{const} == 0 (mod 4)", residues
+    ca, cb, mod = RULE
+    c0 = ca * a
+    const = f" {'-' if c0 < 0 else '+'} {abs(c0)}" if c0 else ""
+    residues = [k for k in range(mod) if is_realizable(a, k * b)]
+    return f"{cb * b}k{const} == 0 (mod {mod})", residues
 
 
 def decompose(x: Pair) -> tuple[int, int]:
@@ -45,7 +54,6 @@ def decompose(x: Pair) -> tuple[int, int]:
     a, b = x
     m = -b // 2
     r = a - m
-    # operators, not divmod: this runs once per lattice point of the window walk
     if b % 2 or r % 2:
         raise ValueError(f"class {x} is not an integer combination of tau and gamma")
     return r // 2, m
@@ -62,38 +70,49 @@ def stabilize(x: Pair) -> int:
 
 
 def verify_exact_sequence(window: int) -> dict[str, bool]:
-    """Lemma 9 on the box |a|, |b| <= window, compared with the tau/gamma lattice.
+    """Lemma 9 on the box |a|, |b| <= window, read off ``RULE`` one column (fixed b) at a time.
 
-    One walk over the box, column by column (fixed b), asks ``is_realizable``
-    once per pair.  An odd column must hold no realizable pair and an even
-    column b = -2m exactly its lattice points n*tau + m*gamma, in order, so the
-    realizable pairs of the box are exactly its lattice points.  Each lattice
-    point round-trips through ``decompose`` and is stabilized once: the kernel
-    of stabilization must be the multiples of tau and its image the even
-    integers of the box.  Only one column is held at a time.
+    With g = gcd(c_a, mod), column b holds no realizable pair unless g divides
+    c_b*b, and otherwise every a of one residue class mod mod/g: one range.  The
+    column's lattice points n*tau + m*gamma, m = -b/2, form another range, whose
+    ends ``compose`` gives.  The two ranges must be equal, so the realizable
+    pairs of the box are exactly its lattice points; no pair is asked about.
+    Each column's two ends round-trip through ``decompose``.  Stabilization
+    keeps only b, so one point per column is stabilized: the kernel must be
+    column 0, the tau multiples, and the image the even integers of the box.
+    The cost is linear in the window.
     """
+    ca, cb, mod = RULE
+    g = math.gcd(ca, mod)
+    step = mod // g
+    inverse = pow(ca // g, -1, step)
+    (ta, tb), (ga, gb) = tau(), gamma()
     half = window // 2
-    span = range(-window, window + 1)
     closed = roundtrip = True
     kernel, image = [], set()
-    for b in span:
-        realizable = [(a, b) for a in span if is_realizable(a, b)]
+    for b in range(-window, window + 1):
+        rhs = -cb * b
+        # the first a of the residue class rhs/g * inverse (mod step) in the box
+        realizable = range(0) if rhs % g else range((rhs // g * inverse + window) % step - window, window + 1, step)
         m, odd = divmod(-b, 2)
-        # a = 2n + m must stay in the box; an odd column holds no lattice point
-        ns = range(0) if odd else range(-((window + m) // 2), (window - m) // 2 + 1)
-        lattice = [compose(n, m) for n in ns]
-        if realizable != lattice:
-            closed = False
-        for n, x in zip(ns, lattice):
-            if decompose(x) != (n, m):
+        lattice = range(0)
+        if not odd:
+            # a = 2n + m must stay in the box; successive points differ by tau
+            n0, n1 = -((window + m) // 2), (window - m) // 2
+            first, last = compose(n0, m), compose(n1, m)
+            lattice = range(first[0], last[0] + 1, ta)
+            if decompose(first) != (n0, m) or decompose(last) != (n1, m):
                 roundtrip = False
-            p1 = stabilize(x)
+            p1 = stabilize(first)
             image.add(p1)
             if p1 == 0:
-                kernel.append(x)
-    (ta, tb), (ga, gb) = tau(), gamma()
+                kernel.append((b, lattice))
+        if realizable != lattice:
+            closed = False
+    # the multiples n*tau with |n| <= half, all in column tb = 0
+    tau_multiples = (tb, range(-half * ta, half * ta + 1, ta))
     return {
-        "kernel_is_tau_multiples": kernel == [compose(n, 0) for n in range(-half, half + 1)],
+        "kernel_is_tau_multiples": kernel == [tau_multiples],
         "image_is_even_integers": image == {2 * m for m in range(-half, half + 1)},
         "realizable_closed_under_group_ops": closed,
         "realizable_has_index_4": abs(ta * gb - tb * ga) == 4,

@@ -66,6 +66,20 @@ def test_text_report_mentions_erratum(capsys):
     assert "erratum: (4-4)" in out
 
 
+def test_verify_all_exits_1_on_a_failed_check(capsys, monkeypatch):
+    # a wrong sign of gamma fails generator-pairs alone; the two errata count as checks, neither passed nor failed
+    monkeypatch.setattr(vect4, "gamma", lambda: (1, 2))
+    code, out = run_cli(capsys, "verify-all")
+    assert code == 1
+    assert out.splitlines()[-2:] == ["21 checks: 18 passed, 1 failed", "theorem status: FAILED"]
+
+
+def test_smallest_window_is_accepted(capsys):
+    code, out = run_cli(capsys, "verify", "exact-sequence-window", "--window", "4")
+    assert code == 0
+    assert "|a|,|b| <= 4" in out
+
+
 def test_verify_single_check(capsys):
     code, out = run_cli(capsys, "verify", "weyl-order")
     assert code == 0

@@ -253,6 +253,15 @@ def test_elementary_symmetric_e1():
     assert ch.elementary_symmetric(1) == {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1}
 
 
+@pytest.mark.parametrize(
+    "build, index",
+    [("elementary_symmetric", 0), ("elementary_symmetric", 5), ("theta", 0), ("theta", 4)],
+)
+def test_symmetric_function_index_out_of_range(build, index):
+    with pytest.raises(ValueError, match=f"index out of range: {index}"):
+        getattr(ch, build)(index)
+
+
 def test_theta1_shape():
     assert ch.theta(1) == {
         (2, 0, 0, 0): 1,

@@ -297,6 +297,17 @@ PLANTED_FAULTS = {
         "focal-table",
         "8: False",
     ),
+    # a doubled sign is no symbol: it is not read as one sign
+    "orbit-table-double-minus": (
+        lambda mp: mp.setitem(pontsolve.TABLE_AFTER_LEAF, 7, ("k", "--k", "k3", "-k4")),
+        "orbit-table",
+        "unknown table symbol '--k'",
+    ),
+    "focal-table-double-minus": (
+        lambda mp: mp.setitem(pontsolve.TABLE_FOCAL, 8, ("--k", "k", "-k", "-k4")),
+        "focal-table",
+        "unknown table symbol '--k'",
+    ),
     # a misspelt symbol is no form over the unknowns
     "orbit-table-symbol": (
         lambda mp: mp.setitem(pontsolve.TABLE_AFTER_LEAF, 4, ("k5", "k3", "k", "k4")),
@@ -342,11 +353,10 @@ PLANTED_FAULTS = {
         "generator-pairs",
         "",
     ),
-    # Lemma 9: the window check compares every realizable pair of the box with the lattice
-    "realizable-19-20": (
-        lambda mp: mp.setattr(
-            vect4, "is_realizable", lambda a, b, exact=vect4.is_realizable: (a, b) == (19, 20) or exact(a, b)
-        ),
+    # Lemma 9: the window check compares the realizable pairs the rule gives each column with
+    # its lattice points; a - b = 0 (mod 4) holds for every fourth a, the lattice has every second
+    "rule-a-minus-b": (
+        lambda mp: mp.setattr(vect4, "RULE", (1, -1, 4)),
         "exact-sequence-window",
         "'realizable_closed_under_group_ops': False",
     ),
@@ -415,6 +425,19 @@ def test_planted_fault_fails_without_symmetry(monkeypatch, fault):
     rep = obstruct.theorem_pipeline(disable_symmetry=True)
     assert rep.theorem_status == "FAILED"
     assert check_id in [c.id for c in rep.checks if c.status == "fail"]
+
+
+@pytest.mark.parametrize("rule", [(1, -1, 4), (2, -1, 2), (2, -1, 8), (2, -2, 4)])
+def test_wrong_rule_fails_every_check_that_reads_it(monkeypatch, rule):
+    # (2, 1, 4) is no such fault: realizable pairs have b even, so it is the same congruence
+    monkeypatch.setattr(vect4, "RULE", rule)
+    rep = obstruct.theorem_pipeline()
+    assert rep.theorem_status == "FAILED"
+    assert [c.id for c in rep.checks if c.status == "fail"] == [
+        "generator-pairs",
+        "exact-sequence-window",
+        "congruence-obstruction",
+    ]
 
 
 #: with the first root planted as (2, -1, 0, 0) neither the generators nor the

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from d4check import vect4
+from lemma9_walk import walk
 
 #: the detail keys of the window check, read by report consumers
 WINDOW_KEYS = (
@@ -62,6 +63,13 @@ def test_decompose_is_exact_on_a_box():
                 assert vect4.compose(*vect4.decompose((a, b))) == (a, b)
 
 
+@given(st.integers(), st.integers())
+def test_rule_and_lattice_hold_for_every_integer(x, y):
+    # p1 = 2e (mod 4) on unbounded pairs; decompose inverts compose on the whole lattice
+    assert vect4.is_realizable(x, y) == ((2 * x - y) % 4 == 0)
+    assert vect4.decompose(vect4.compose(x, y)) == (x, y)
+
+
 @given(st.integers(-10, 10), st.integers(-10, 10))
 def test_decompose_roundtrip(n, m):
     assert vect4.decompose(vect4.compose(n, m)) == (n, m)
@@ -105,19 +113,33 @@ def test_exact_sequence_window():
     assert all(vect4.verify_exact_sequence(20).values())
 
 
-@pytest.mark.parametrize("window", [4, 5, 6, 7, 8, 9, 21, 200, 201])
+@pytest.mark.parametrize("window", [4, 5, 6, 7, 8, 9, 21, 200, 201, 10000])
 def test_exact_sequence_window_sizes(window):
-    # odd windows included: the image is compared with the even integers of the box
+    # odd windows included: the image is compared with the even integers of the box;
+    # the check reads one column at a time, so a window of 10000 is cheap
     assert vect4.verify_exact_sequence(window) == dict.fromkeys(WINDOW_KEYS, True)
 
 
+#: the rule, a form it is equivalent to (realizable pairs have b even), and wrong forms
+@pytest.mark.parametrize("rule", [(2, -1, 4), (2, 1, 4), (1, -1, 4), (2, -1, 2), (2, -1, 8), (2, -2, 4), (0, -1, 4)])
+@pytest.mark.parametrize("window", [4, 5, 6, 7, 20, 21])
+def test_exact_sequence_window_agrees_with_the_walk(monkeypatch, rule, window):
+    # the columns read off the rule say what asking is_realizable at every pair of the box says
+    monkeypatch.setattr(vect4, "RULE", rule)
+    seq = vect4.verify_exact_sequence(window)
+    assert seq == walk(window)
+    assert seq["realizable_closed_under_group_ops"] is (rule in ((2, -1, 4), (2, 1, 4)))
+
+
+# the certificate reads the rule, not is_realizable, so a point fault planted in
+# is_realizable is caught by the pair-by-pair walk of tests/lemma9_walk.py;
 # (20, 19) is the last pair of the walk's last odd column
-@pytest.mark.parametrize("extra", [(-20, -19), (1, 0), (20, 19)])
+@pytest.mark.parametrize("extra", [(-20, -19), (1, 0), (20, 19), (19, 20)])
 def test_exact_sequence_window_sees_one_extra_pair(monkeypatch, extra):
     # the realizable pairs of the box are compared with its lattice points one for one
     exact = vect4.is_realizable
     monkeypatch.setattr(vect4, "is_realizable", lambda a, b: (a, b) == extra or exact(a, b))
-    assert vect4.verify_exact_sequence(20)["realizable_closed_under_group_ops"] is False
+    assert walk(20)["realizable_closed_under_group_ops"] is False
 
 
 #: one wrong datum for the window-20 walk: the function it is planted in, the fault, the key it flips
@@ -144,7 +166,27 @@ WALK_FAULTS = {
 def test_exact_sequence_walk_sees_one_wrong_datum(monkeypatch, fault):
     name, plant, key = WALK_FAULTS[fault]
     monkeypatch.setattr(vect4, name, plant(getattr(vect4, name)))
-    assert vect4.verify_exact_sequence(20) == dict(dict.fromkeys(WINDOW_KEYS, True), **{key: False})
+    assert walk(20) == dict(dict.fromkeys(WINDOW_KEYS, True), **{key: False})
+
+
+@pytest.mark.parametrize(
+    "name, plant, keys",
+    [
+        # the first end of column 20 is the point the column is stabilized at
+        ("stabilize", lambda exact: lambda x: 21 if x == (-20, 20) else exact(x), ["image_is_even_integers"]),
+        ("decompose", lambda exact: lambda x: (0, 1) if x == (20, 0) else exact(x), ["decompose_roundtrip"]),
+        # the last end of column 2 is (19, 2); the next lattice point there makes the range one longer than the rule's
+        (
+            "compose",
+            lambda exact: lambda n, m: (21, 2) if (n, m) == (10, -1) else exact(n, m),
+            ["realizable_closed_under_group_ops", "decompose_roundtrip"],
+        ),
+    ],
+    ids=["end-mis-stabilized", "end-mis-decomposed", "end-mis-composed"],
+)
+def test_exact_sequence_window_sees_one_wrong_column_end(monkeypatch, name, plant, keys):
+    monkeypatch.setattr(vect4, name, plant(getattr(vect4, name)))
+    assert vect4.verify_exact_sequence(20) == dict(dict.fromkeys(WINDOW_KEYS, True), **dict.fromkeys(keys, False))
 
 
 def test_exact_sequence_walk_rejects_off_lattice_compose(monkeypatch):
@@ -152,7 +194,7 @@ def test_exact_sequence_walk_rejects_off_lattice_compose(monkeypatch):
     exact = vect4.compose
     monkeypatch.setattr(vect4, "compose", lambda n, m: (1, 0) if (n, m) == (1, 0) else exact(n, m))
     with pytest.raises(ValueError, match=r"\(1, 0\)"):
-        vect4.verify_exact_sequence(20)
+        walk(20)
 
 
 # lattice points of the box |a|, |b| <= window
@@ -165,14 +207,19 @@ def test_exact_sequence_walk_call_counts(monkeypatch, window, points):
             return _fn(*args)
 
         monkeypatch.setattr(vect4, name, counted)
-    assert all(vect4.verify_exact_sequence(window).values())
-    # one call per pair of the box, one per lattice point, and the tau multiples of the kernel check
+    assert all(walk(window).values())
+    # the walk: one call per pair of the box, one per lattice point, and the tau multiples of the kernel check
     assert calls == {
         "is_realizable": (2 * window + 1) ** 2,
         "compose": points + 2 * (window // 2) + 1,
         "decompose": points,
         "stabilize": points,
     }
+    calls.update(dict.fromkeys(calls, 0))
+    assert all(vect4.verify_exact_sequence(window).values())
+    # the certificate asks about no pair: per even column, its two ends, one of them stabilized
+    columns = 2 * (window // 2) + 1
+    assert calls == {"is_realizable": 0, "compose": 2 * columns, "decompose": 2 * columns, "stabilize": columns}
 
 
 def test_leaf_congruence_odd():
