@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
+# the C string encoder that json.encoder re-exports, without loading the json package (CPython only)
+from _json import encode_basestring_ascii
 
 from .obstruct import CheckRecord, VerificationReport
 

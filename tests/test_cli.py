@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import d4check
+from cli_reference import build_parser
 from d4check import pontsolve, report, rootsys, vect4
-from d4check.cli import main
+from d4check.cli import COMMANDS, main, parse_args
 from d4check.obstruct import CHECK_IDS, CheckRecord, VerificationReport, theorem_pipeline
 
 
@@ -161,6 +164,86 @@ def test_window_too_small_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["verify-all", "--window"],
+        ["verify-all", "--window", "x"],
+        ["verify-all", "--format", "xml"],
+        ["roots", "--order"],
+        ["verify", "weyl-order", "extra"],
+    ],
+    ids=["no-arguments", "window-no-value", "window-x", "format-xml", "roots-order", "verify-extra-word"],
+)
+def test_bad_command_line_exits_2(capsys, argv):
+    # a usage error prints one line on stderr, in the format of every other d4check error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("d4check: error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_exits_0(capsys, command, flag):
+    argv = [flag] if command is None else [command, flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(f"usage: d4check {command or ''}".rstrip() + " [-h]")
+    for option in ["-h, --help", *COMMANDS.get(command, ("", {}, ""))[1]]:
+        assert f"  {option}" in captured.out
+
+
+#: Tokens of the differential test: every command, every long option and each
+#: of its unique prefixes, -h, --opt=value forms, values, the check ids and a
+#: stray word.  Left out: ``--``, which argparse reads differently across Python
+#: versions and the table parser takes as the end of the options, and
+#: single-dash tokens other than -h and negative ints, which argparse may read
+#: as several switches in one, or (``-1.5``) as a word.
+_LONG_OPTIONS = ["--help", "--format", "--window", "--no-symmetry-constraint", "--skip-window-checks", "--out",
+                 "--order", "--which"]
+_VALUES = ["3", "7", "-3", "x", "text", "json", "xml", "4-2", "4-3"]
+_TOKENS = sorted(
+    {*COMMANDS, "-h", *_VALUES, *CHECK_IDS, "stray"}
+    | {option[:end] for option in _LONG_OPTIONS for end in range(3, len(option) + 1)}
+    | {f"{option}={value}" for option in _LONG_OPTIONS for value in _VALUES}
+)
+_REFERENCE = build_parser()
+
+
+def _outcome(parse, argv):
+    """``("ok", values)`` for a command line ``parse`` accepts, else ``("exit", code)``."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return "ok", parse(argv)
+        except SystemExit as exc:
+            return "exit", exc.code
+
+
+@settings(max_examples=400, deadline=None)
+@example(argv=["verify", "--win=7", "weyl-order", "--format", "json", "--w", "-3"])
+@example(argv=["verify-all", "stray", "-h"])
+@example(argv=["--he", "frobnicate"])
+@given(
+    st.lists(st.sampled_from(_TOKENS), max_size=6)
+    | st.tuples(st.sampled_from(list(COMMANDS)), st.lists(st.sampled_from(_TOKENS), max_size=5)).map(
+        lambda drawn: [drawn[0], *drawn[1]]
+    )
+)
+def test_parser_reads_command_lines_as_argparse(argv):
+    # the reference is the argparse parser the table replaced: the same command lines
+    # parse to the same values, help exits 0 and every other command line exits 2
+    expected = _outcome(lambda args: vars(_REFERENCE.parse_args(args)), argv)
+    assert _outcome(lambda args: vars(parse_args(args)), argv) == expected
+    assert expected[0] == "ok" or expected[1] in (0, 2)
+
+
 def test_weyl_order(capsys):
     code, out = run_cli(capsys, "weyl", "--order")
     assert code == 0
@@ -183,10 +266,12 @@ def test_weyl_on_bad_root_data_exits_1(capsys, monkeypatch, argv):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # the package's records are plain values; dataclasses would also pull in inspect
+    # the package's records are plain values; dataclasses would also pull in inspect.
+    # The command line is read off a table and the JSON strings go through _json's
+    # C encoder, so a fresh process pays for neither argparse (and gettext) nor json
     code = (
         "import sys; before = set(sys.modules); import d4check.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'json'} & (set(sys.modules) - before)))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(d4check.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -297,6 +382,9 @@ GOLDEN = Path(__file__).parent / "golden"
         (["verify-all", "--skip-window-checks"], "verify-all-skip-window.txt"),
         (["verify-all", "--skip-window-checks", "--format", "json"], "verify-all-skip-window.json"),
         (["verify-all", "--window", "7"], "verify-all-window-7.txt"),
+        # --opt=value, and a unique prefix of a long option
+        (["verify-all", "--window=7"], "verify-all-window-7.txt"),
+        (["verify-all", "--win", "7"], "verify-all-window-7.txt"),
     ],
 )
 def test_report_matches_golden(capsys, argv, fixture):

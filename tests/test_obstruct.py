@@ -151,14 +151,24 @@ def _bond_dropped(monkeypatch):
     monkeypatch.setattr(rootsys, "simple_cartan_matrix", dropped)
 
 
-def _generator_9_transposition(monkeypatch):
-    # the transposition of e_1 and e_4 fixes (1,1,1,1), but with 1, 2 and 3 it
-    # is no simple system, so the shortest words miss half of the fixers:
-    # 24 elements fix the point, 12 have words in 1, 2, 3
-    def swapped(rs, _build=rootsys.simple_generators):
-        return {**_build(rs), 9: rootsys.TSignedPerm((3, 1, 2, 0), (1, 1, 1, 1))}
+def _generator(label, perm, signs):
+    """Plant simple reflection ``label`` as the signed permutation ``(perm, signs)``."""
+    def plant(monkeypatch):
+        def planted(rs, _build=rootsys.simple_generators):
+            return {**_build(rs), label: rootsys.TSignedPerm(perm, signs)}
 
-    monkeypatch.setattr(rootsys, "simple_generators", swapped)
+        monkeypatch.setattr(rootsys, "simple_generators", planted)
+
+    return plant
+
+
+def _polynomial(name, index, terms):
+    """Plant ``cohomring.<name>(index)`` as the polynomial ``terms``; other indices are unchanged."""
+    def plant(monkeypatch):
+        build = getattr(cohomring, name)
+        monkeypatch.setattr(cohomring, name, lambda i: dict(terms) if i == index else build(i))
+
+    return plant
 
 
 #: fault -> (plant it, the check id that must fail, text that check's detail contains);
@@ -228,8 +238,11 @@ PLANTED_FAULTS = {
         "stabilizer-order",
         "6 fix (1,1,1,1), 12 have words in 1, 2, 3, the same: False",
     ),
+    # the transposition of e_1 and e_4 fixes (1,1,1,1), but with 1, 2 and 3 it
+    # is no simple system, so the shortest words miss half of the fixers:
+    # 24 elements fix the point, 12 have words in 1, 2, 3
     "generator-9-transposition": (
-        _generator_9_transposition,
+        _generator(9, (3, 1, 2, 0), (1, 1, 1, 1)),
         "stabilizer-order",
         "24 fix (1,1,1,1), 12 have words in 1, 2, 3, the same: False",
     ),
@@ -256,13 +269,7 @@ PLANTED_FAULTS = {
     ),
     # signs other than +-1 close to no finite group; the closure stops at 2^4 * 4! elements
     "generator-sign-two": (
-        lambda mp: mp.setattr(
-            rootsys,
-            "simple_generators",
-            lambda rs, build=rootsys.simple_generators: {
-                **build(rs), 1: rootsys.TSignedPerm((1, 0, 2, 3), (2, 1, 1, 1))
-            },
-        ),
+        _generator(1, (1, 0, 2, 3), (2, 1, 1, 1)),
         "weyl-order",
         "more than 2^4 * 4! = 384 signed permutations",
     ),
@@ -284,6 +291,34 @@ PLANTED_FAULTS = {
     ),
     "theta-unsquared-invariance": (
         lambda mp: mp.setattr(cohomring, "theta", cohomring.elementary_symmetric),
+        "invariance-suite",
+        "",
+    ),
+    # Lemma 5, one conjunct of invariance-suite at a time: each fault below
+    # breaks only the conjunct it names, so that conjunct alone fails it.
+    # theta_1 without the squares is e_1, which the sign flips of generator 9 move
+    "theta-1-unsquared-invariance": (
+        _polynomial("theta", 1, cohomring.elementary_symmetric(1)),
+        "invariance-suite",
+        "",
+    ),
+    # generator 9 with one sign flip negates e_4 = t1 t2 t3 t4; the squares of
+    # theta_i and the stabilizer do not see it, and e_1 still moves
+    "generator-9-one-sign-invariance": (_generator(9, (0, 1, 3, 2), (1, 1, 1, -1)), "invariance-suite", ""),
+    # a stabilizer generator that negates the two coordinates it swaps (the
+    # reflection in e_a + e_b) moves e_1, e_2 and e_3, but neither e_4 nor any theta_i
+    "stabilizer-generator-1-signed-invariance": (_generator(1, (1, 0, 2, 3), (-1, -1, 1, 1)), "invariance-suite", ""),
+    "stabilizer-generator-2-signed-invariance": (_generator(2, (0, 2, 1, 3), (1, -1, -1, 1)), "invariance-suite", ""),
+    "stabilizer-generator-3-signed-invariance": (_generator(3, (0, 1, 3, 2), (1, 1, -1, -1)), "invariance-suite", ""),
+    # e_1 = t1 + t3 is no symmetric function, and generator 9 still moves it
+    "e1-not-symmetric-invariance": (
+        _polynomial("elementary_symmetric", 1, {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1}),
+        "invariance-suite",
+        "",
+    ),
+    # e_1 planted as theta_1 is fixed by generator 9, which still moves e_2
+    "e1-squared-invariance": (
+        _polynomial("elementary_symmetric", 1, cohomring.theta(1)),
         "invariance-suite",
         "",
     ),
