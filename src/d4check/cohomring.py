@@ -14,7 +14,6 @@ analogues theta_i are the invariants of interest.
 from __future__ import annotations
 
 import itertools
-import math
 from operator import mul
 
 from .rootsys import SIMPLE_INDICES, CartanMatrix, TSignedPerm
@@ -124,14 +123,17 @@ def act_on_polynomial(sp: TSignedPerm, p: dict) -> dict:
     """Substitute each t_j by its image under ``sp``, extended multiplicatively.
 
     Exponent j moves to the variable ``perm[j]``, and the term picks up the
-    sign prod_j signs[j]^e_j.
+    sign prod_j signs[j]^e_j, read only where ``signs[j]`` is not 1.
     """
     (p0, p1, p2, p3), signs = sp
+    flips = [(j, s) for j, s in enumerate(signs) if s != 1]
     image: dict[tuple, int] = {}
     for expo, coeff in p.items():
         moved = [0, 0, 0, 0]
         moved[p0], moved[p1], moved[p2], moved[p3] = expo
-        image[tuple(moved)] = math.prod(map(pow, signs, expo)) * coeff
+        for j, s in flips:
+            coeff *= s ** expo[j]
+        image[tuple(moved)] = coeff
     return image
 
 

@@ -129,14 +129,13 @@ class Run:
     def pushed(self):
         """(d_k, b_k) per root label: d_1 and b_1 pushed along the root's word by (3-3)/(3-4)."""
         words = self.words  # read first: a failed orbit is named before a failed Cartan matrix
-        pushed, d1, b1 = {}, cohomring.euler_class_d(self.cartan, 1), unit(1)
-        for i, word in words.items():
-            d, b = d1, b1
-            for label in reversed(word):  # the rightmost letter acts first
-                d = cohomring.cohomology_action_omega(self.cartan, label, d)
-                b = cohomring.homology_action(self.cartan, label, b)
-            pushed[i] = d, b
-        return pushed
+        cartan = self.cartan
+
+        def step(label, db):
+            d, b = db
+            return cohomring.cohomology_action_omega(cartan, label, d), cohomring.homology_action(cartan, label, b)
+
+        return rootsys.along_words(words, (cohomring.euler_class_d(cartan, 1), unit(1)), step)
 
     @_derived
     def classes(self):
@@ -204,7 +203,7 @@ def _weyl_order(run):
 def _stabilizer_order(run):
     # the words are reduced, so the subgroup generated by 1, 2 and 3 is the elements whose word avoids 9
     b_point = (1, 1, 1, 1)
-    fixers = [w for w in run.group if w.apply(b_point) == b_point]
+    fixers = [w for w, image in zip(run.group, rootsys.images(run.group, b_point)) if image == b_point]
     parabolic = [w for w, word in run.group.items() if 9 not in word]
     return (
         len(fixers) == 24 and fixers == parabolic,

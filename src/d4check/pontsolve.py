@@ -12,11 +12,11 @@ the solutions are exactly the line it spans, (1, 1, -1, -1).
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 from operator import neg, sub
 
 from .cohomring import T_OF_OMEGA, euler_class_d, omega_from_t
-from .rootsys import CartanMatrix, TSignedPerm, inner
+from .rootsys import CartanMatrix, TSignedPerm, along_words, inner
 
 # Linear form over the unknowns (k1, k2, k3, k4); a constraint row is one.
 LinForm = tuple[int, int, int, int]
@@ -37,7 +37,7 @@ def _sum(classes) -> SymbolicClass:
 
 
 def apply_pullback(sp: TSignedPerm, cls: SymbolicClass) -> SymbolicClass:
-    """``sp.apply`` on the t-vector of each unknown: the columns of ``cls``.
+    """``sp`` applied to the t-vector of each unknown: the columns of ``cls``.
 
     Coefficient form j moves to ``perm[j]``, negated where ``signs[j]`` is -1.
     """
@@ -53,15 +53,10 @@ def orbit_classes(gens: dict[int, TSignedPerm], words: dict[int, tuple[int, ...]
     ``gens`` are the simple reflections, acting on t1..t4 as on e_1..e_4,
     and ``words[i]`` carries the first root to root i (``rootsys.orbit``).
     The pullback is a left action, so the word's element, whose rightmost
-    generator acts first, pulls back one letter at a time from the right.
+    generator acts first, pulls back one letter at a time from the right:
+    a word's class is its first letter's pullback of its tail's class.
     """
-    classes = {}
-    for idx, word in words.items():
-        cls = generic_class()
-        for label in reversed(word):
-            cls = apply_pullback(gens[label], cls)
-        classes[idx] = cls
-    return classes
+    return along_words(words, generic_class(), lambda label, cls: apply_pullback(gens[label], cls))
 
 
 def leaf_sphere_constraint() -> LinForm:
@@ -205,9 +200,11 @@ def _match_table(table: dict, rows: range, classes: dict[int, SymbolicClass], k3
     """
     if sorted(table) != list(rows):
         raise ValueError(f"table rows {sorted(table)}, expected {rows.start}..{rows.stop - 1}")
+    # each distinct symbol once, in row order, so the first misspelt one is named
+    symbols = dict.fromkeys(chain.from_iterable(map(table.__getitem__, rows)))
+    reduced = {s: _substitute(_symbol_form(s), k3_is_minus_k) for s in symbols}
     return {
-        idx: [_substitute(f, k3_is_minus_k) for f in classes[idx]]
-        == [_substitute(_symbol_form(s), k3_is_minus_k) for s in table[idx]]
+        idx: [_substitute(f, k3_is_minus_k) for f in classes[idx]] == list(map(reduced.__getitem__, table[idx]))
         for idx in rows
     }
 

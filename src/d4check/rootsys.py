@@ -10,7 +10,8 @@ with its shortlex-reduced word over the generator labels 1 < 2 < 3 < 9.
 The closure runs on one-line images: the element that sends e_i to s e_j
 is the int 4-tuple whose entry i is s (j + 1), so the identity is
 (1, 2, 3, 4) and a right multiplication is one gather.  No other code
-multiplies group elements: an orbit reads each image's word off the group.
+multiplies group elements: ``images`` applies the whole group to a vector
+in one sweep, and an orbit reads each image's word off the group.
 """
 
 from __future__ import annotations
@@ -38,15 +39,6 @@ class TSignedPerm(NamedTuple):
 
     perm: tuple[int, int, int, int]
     signs: tuple[int, int, int, int]
-
-    def apply(self, v: tuple) -> tuple:
-        (p0, p1, p2, p3), (s0, s1, s2, s3) = self
-        out = [0, 0, 0, 0]
-        out[p0] = s0 * v[0]
-        out[p1] = s1 * v[1]
-        out[p2] = s2 * v[2]
-        out[p3] = s3 * v[3]
-        return tuple(out)
 
 
 def signed_perm(columns: Sequence[Sequence], what: str) -> TSignedPerm:
@@ -141,7 +133,8 @@ def enumerate_group(gens: dict[int, TSignedPerm]) -> dict[TSignedPerm, tuple[int
     rightmost generator acts first.  The closure keeps one-line images: entry
     i of w is s (j + 1) when w sends e_i to s e_j.  Then w g for
     g = ((p_i), (s_i)) has entry i equal to s_i w[p_i], one gather with no
-    call, and each element becomes a ``TSignedPerm`` once, at the end.  The
+    call, and each element becomes a ``TSignedPerm`` once, at the end, read
+    off its entries by comparison and built by ``tuple.__new__``.  The
     encoding is faithful for signs +-1, which is all ``reflection`` builds.
     Raises ValueError past 2^4 * 4! = 384 elements, which a sign of 2
     reaches; a sign of 0 closes after two elements.
@@ -161,13 +154,32 @@ def enumerate_group(gens: dict[int, TSignedPerm]) -> dict[TSignedPerm, tuple[int
         if len(words) > 384:
             raise ValueError("the generators give more than 2^4 * 4! = 384 signed permutations")
         frontier = nxt
+    new = tuple.__new__
     return {
-        TSignedPerm(
-            (abs(a) - 1, abs(b) - 1, abs(c) - 1, abs(d) - 1),
+        new(TSignedPerm, (
+            (a - 1 if a > 0 else -a - 1, b - 1 if b > 0 else -b - 1,
+             c - 1 if c > 0 else -c - 1, d - 1 if d > 0 else -d - 1),
             (1 if a > 0 else -1, 1 if b > 0 else -1, 1 if c > 0 else -1, 1 if d > 0 else -1),
-        ): word
+        )): word
         for (a, b, c, d), word in words.items()
     }
+
+
+def images(group, v: tuple) -> list[tuple]:
+    """The image of v under each signed permutation of ``group``, in its order.
+
+    Element w sends entry i of v to ``signs[i] * v[i]`` at ``perm[i]``.
+    """
+    v0, v1, v2, v3 = v
+    out = []
+    for (p0, p1, p2, p3), (s0, s1, s2, s3) in group:
+        image = [0, 0, 0, 0]
+        image[p0] = s0 * v0
+        image[p1] = s1 * v1
+        image[p2] = s2 * v2
+        image[p3] = s3 * v3
+        out.append(tuple(image))
+    return out
 
 
 def orbit(group: dict[TSignedPerm, tuple[int, ...]], v: tuple) -> dict[tuple, tuple[int, ...]]:
@@ -177,9 +189,26 @@ def orbit(group: dict[TSignedPerm, tuple[int, ...]], v: tuple) -> dict[tuple, tu
     so the first word met for an image is its least.
     """
     words = {}
-    for w, word in group.items():
-        words.setdefault(w.apply(v), word)
+    for image, word in zip(images(group, v), group.values()):
+        if image not in words:
+            words[image] = word
     return words
+
+
+def along_words(words: dict, start, step) -> dict:
+    """Each word's image of ``start``, its letters applied by ``step(label, x)`` from the right.
+
+    A word (l, *tail) is one ``step`` on the image of its tail, and each
+    image is kept, so ``step`` runs once per distinct word or tail.
+    """
+    done = {(): start}
+
+    def at(word):
+        if word not in done:
+            done[word] = step(word[0], at(word[1:]))
+        return done[word]
+
+    return {i: at(word) for i, word in words.items()}
 
 
 #: The printed reduced words carrying the first root to roots 2..12; the

@@ -2,8 +2,10 @@ import inspect
 import sys
 
 import pytest
+from hypothesis import example, given, settings
 
 from d4check import cohomring, obstruct, pontsolve, rootsys, vect4
+from signed_perms import WORD_SETS
 
 
 def test_restrict_euler_to_second_sphere():
@@ -120,6 +122,44 @@ def test_pipeline_is_deterministic():
     a = report.to_json(obstruct.theorem_pipeline())
     b = report.to_json(obstruct.theorem_pipeline())
     assert a == b
+
+
+@settings(max_examples=50, deadline=None)
+@given(words=WORD_SETS)
+@example(words={5: (2, 1, 3, 2), 4: (1, 3, 2), 3: (1, 3, 2), 2: (9,), 1: ()})
+def test_pushed_classes_match_the_letter_by_letter_push(words):
+    # in the example, (3, 2) is no word of the set, so it takes its own step on (2,)
+    run = obstruct.Run()
+    run.words = words
+    cartan = run.cartan
+    expected = {}
+    for i, word in words.items():
+        d, b = cohomring.euler_class_d(cartan, 1), cohomring.unit(1)
+        for label in reversed(word):
+            d = cohomring.cohomology_action_omega(cartan, label, d)
+            b = cohomring.homology_action(cartan, label, b)
+        expected[i] = d, b
+    assert run.pushed == expected
+    assert list(run.pushed) == list(words)
+
+
+def test_pipeline_pushes_one_letter_per_root(monkeypatch):
+    # each root's word is one letter on another root's word, so the eleven
+    # roots other than root 1 take one step each; the 16 other cohomology
+    # actions are t-actions' intertwining, the 3 other pullbacks the symmetry rows
+    calls = {}
+    for module, name in (
+        (cohomring, "cohomology_action_omega"),
+        (cohomring, "homology_action"),
+        (pontsolve, "apply_pullback"),
+    ):
+        def counted(*args, _act=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _act(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert obstruct.theorem_pipeline().theorem_status == "OBSTRUCTED"
+    assert calls == {"cohomology_action_omega": 27, "homology_action": 11, "apply_pullback": 14}
 
 
 def test_erratum_records_present():
@@ -349,6 +389,16 @@ PLANTED_FAULTS = {
         "orbit-table",
         "unknown table symbol 'k5'",
     ),
+    # misspelt symbols in two rows: the first in row order is named, though
+    # the later row's sits in an earlier column
+    "orbit-table-two-symbols": (
+        lambda mp: (
+            mp.setitem(pontsolve.TABLE_AFTER_LEAF, 3, ("k3", "k4", "k", "kk")),
+            mp.setitem(pontsolve.TABLE_AFTER_LEAF, 5, ("k6", "k", "k4", "k")),
+        ),
+        "orbit-table",
+        "unknown table symbol 'kk'",
+    ),
     "focal-table-symbol": (
         lambda mp: mp.setitem(pontsolve.TABLE_FOCAL, 7, ("k", "-k", "-k", "-kk4")),
         "focal-table",
@@ -569,6 +619,7 @@ def test_derived_object_read_on_the_class_is_its_descriptor():
 #: and written-out entries, with no generator frame per element.
 INTEGER_KERNELS = (
     rootsys.inner,
+    rootsys.images,
     cohomring.omega_from_t,
     cohomring.kronecker,
     cohomring.homology_action,

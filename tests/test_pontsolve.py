@@ -8,7 +8,7 @@ from d4check import cohomring as ch
 from d4check import obstruct
 from d4check import pontsolve as ps
 from d4check.rootsys import WORD_TABLE, build_d4, enumerate_group, simple_cartan_matrix, simple_generators
-from signed_perms import ALL_SIGNED_PERMS, compose, element_from_word
+from signed_perms import ALL_SIGNED_PERMS, WORD_SETS, apply, compose, element_from_word
 
 #: each root's word as printed; root 1 has the empty word
 WORDS = {1: (), **WORD_TABLE}
@@ -71,6 +71,17 @@ def test_classes_are_pullbacks_by_the_word_elements(acts, classes):
         assert classes[idx] == ps.apply_pullback(element_from_word(word, acts), ps.generic_class())
 
 
+@settings(max_examples=50, deadline=None)
+@given(words=WORD_SETS)
+@example(words={5: (2, 1, 3, 2), 4: (1, 3, 2), 3: (1, 3, 2), 2: (9,), 1: ()})
+def test_orbit_classes_match_the_letter_by_letter_pullback(acts, words):
+    # each class is one letter on its tail's class, whether or not the tail is a word of the set
+    classes = ps.orbit_classes(acts, words)
+    assert list(classes) == list(words)
+    for idx, word in words.items():
+        assert classes[idx] == ps.apply_pullback(element_from_word(word, acts), ps.generic_class())
+
+
 def test_run_classes_read_the_group_words(classes):
     # the words a run reads off the Weyl group give the same twelve classes
     assert obstruct.Run().classes == classes
@@ -85,7 +96,7 @@ def test_pullback_places_each_form(cls):
     # the reference applies sp to each unknown's t-vector, the columns of the class
     assert len(set(ALL_SIGNED_PERMS)) == 384
     for sp in ALL_SIGNED_PERMS:
-        assert ps.apply_pullback(sp, cls) == tuple(zip(*map(sp.apply, zip(*cls))))
+        assert ps.apply_pullback(sp, cls) == tuple(zip(*[apply(sp, col) for col in zip(*cls)]))
 
 
 def test_pullback_roundtrip(acts, classes):

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 from d4check import cohomring, obstruct, pontsolve, rootsys, vect4
 from d4check.obstruct import EXPECTED_CARTAN
 from d4check.rootsys import WORD_TABLE, TSignedPerm, build_d4, inner
-from signed_perms import IDENTITY, compose, element_from_word
+from signed_perms import ALL_SIGNED_PERMS, IDENTITY, WORD_SETS, apply, compose, element_from_word
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +63,8 @@ def test_generator_actions(rs, gens):
     e2 = (0, 1, 0, 0)
     e3 = (0, 0, 1, 0)
     e4 = (0, 0, 0, 1)
-    assert gens[1].apply(e1) == e2 and gens[1].apply(e2) == e1
-    assert gens[9].apply(e3) == (0, 0, 0, -1) and gens[9].apply(e4) == (0, 0, -1, 0)
+    assert apply(gens[1], e1) == e2 and apply(gens[1], e2) == e1
+    assert apply(gens[9], e3) == (0, 0, 0, -1) and apply(gens[9], e4) == (0, 0, -1, 0)
 
 
 def test_reflections_are_involutions(rs):
@@ -75,31 +75,48 @@ def test_reflections_are_involutions(rs):
 
 def test_apply_examples(rs, gens):
     a1 = rs[1]
-    assert gens[2].apply(a1) == rs[4]
+    assert apply(gens[2], a1) == rs[4]
     w = compose(gens[9], gens[2])
-    assert w.apply(a1) == rs[12]
-    assert IDENTITY.apply(a1) == a1
+    assert apply(w, a1) == rs[12]
+    assert apply(IDENTITY, a1) == a1
 
 
 def test_group_order(group):
     assert len(group) == 192
 
 
-def test_apply_matches_definition(group):
-    # basis vector i goes to signs[i] times basis vector perm[i]
-    v = (1, 2, 3, 4)
-    for w in group:
-        out = [0] * 4
-        for i in range(4):
-            out[w.perm[i]] = w.signs[i] * v[i]
-        assert w.apply(v) == tuple(out)
+@given(st.lists(st.integers(), min_size=4, max_size=4, unique=True))
+@example([1, 2, 3, 4])
+def test_images_match_the_reference_action(v):
+    # four distinct entries, so an image that reads one entry for another differs;
+    # the certificate's own vectors (1,1,1,1) and root 1 repeat an entry
+    v = tuple(v)
+    assert rootsys.images(ALL_SIGNED_PERMS, v) == [apply(w, v) for w in ALL_SIGNED_PERMS]
+    assert rootsys.images({}, v) == []
+
+
+@given(WORD_SETS)
+@example({5: (2, 1, 3, 2), 4: (1, 3, 2), 3: (1, 3, 2), 2: (9,), 1: ()})
+def test_along_words_steps_once_per_word_or_tail(words):
+    # a step that prepends its letter rebuilds each word; every distinct
+    # nonempty word or tail is stepped once, the rightmost letter first
+    steps = []
+
+    def step(label, x):
+        steps.append((label, *x))
+        return (label, *x)
+
+    assert rootsys.along_words(words, (), step) == words
+    assert list(rootsys.along_words(words, (), lambda label, x: x)) == list(words)
+    assert sorted(steps) == sorted({w[k:] for w in words.values() for k in range(len(w))})
+    assert all(s[1:] in steps[:n] for n, s in enumerate(steps) if len(s) > 1)
 
 
 def test_compose_is_the_action(group):
     v = (1, 2, 3, 4)
     for g in group:
         for h in group:
-            assert compose(g, h).apply(v) == g.apply(h.apply(v))
+            assert apply(compose(g, h), v) == apply(g, apply(h, v))
 
 
 @pytest.mark.parametrize(
@@ -119,13 +136,13 @@ def test_stabilizer_subgroup(rs, gens):
     sub = rootsys.enumerate_group({i: gens[i] for i in (1, 2, 3)})
     assert len(sub) == 24
     b = (1, 1, 1, 1)
-    assert all(w.apply(b) == b for w in sub)
+    assert all(apply(w, b) == b for w in sub)
 
 
 def test_stabilizer_is_exact(rs, gens, group):
     # nothing outside the order-24 subgroup fixes the chamber-edge point
     b = (1, 1, 1, 1)
-    fixers = [w for w in group if w.apply(b) == b]
+    fixers = [w for w in group if apply(w, b) == b]
     assert len(fixers) == 24
 
 
@@ -137,7 +154,7 @@ def test_stabilizer_is_the_parabolic_subgroup(rs, group, point, order):
     # a point of the closed chamber is fixed exactly by the elements whose
     # reduced word uses only the simple reflections orthogonal to it
     letters = {i for i in rootsys.SIMPLE_INDICES if inner(rs[i], point) == 0}
-    fixers = [w for w in group if w.apply(point) == point]
+    fixers = [w for w in group if apply(w, point) == point]
     assert len(fixers) == order
     assert fixers == [w for w, word in group.items() if set(word) <= letters]
 
@@ -190,8 +207,9 @@ def test_closure_reaches_all_signed_permutations(gens):
 
 def test_pipeline_builds_the_group_and_the_orbit_once(monkeypatch):
     # the full group is the only closure, and the stabilizer is read off it; the
-    # word table, the orbit size and the orbit classes all read one orbit of root 1
-    calls = {"enumerate_group": 0, "orbit": 0}
+    # word table, the orbit size and the orbit classes all read one orbit of root 1;
+    # the group is applied in two sweeps, to root 1 and to (1,1,1,1)
+    calls = {"enumerate_group": 0, "orbit": 0, "images": 0}
     for name in calls:
         def counted(*args, _build=getattr(rootsys, name), _name=name):
             calls[_name] += 1
@@ -199,7 +217,7 @@ def test_pipeline_builds_the_group_and_the_orbit_once(monkeypatch):
 
         monkeypatch.setattr(rootsys, name, counted)
     assert obstruct.theorem_pipeline().theorem_status == "OBSTRUCTED"
-    assert calls == {"enumerate_group": 1, "orbit": 1}
+    assert calls == {"enumerate_group": 1, "orbit": 1, "images": 2}
 
 
 def test_pipeline_computes_only_the_simple_cartan_numbers(monkeypatch):
@@ -249,9 +267,9 @@ def test_orbit_words_are_least_by_brute_force(rs, gens, group):
     # carry root 1 there, and that word's product does carry it there
     orb = rootsys.orbit(group, rs[1])
     for image, word in orb.items():
-        least = min((len(u), u) for w, u in group.items() if w.apply(rs[1]) == image)
+        least = min((len(u), u) for w, u in group.items() if apply(w, rs[1]) == image)
         assert (len(word), word) == least
-        assert element_from_word(word, gens).apply(rs[1]) == image
+        assert apply(element_from_word(word, gens), rs[1]) == image
 
 
 def test_word_table(rs, group):
@@ -278,7 +296,7 @@ def test_group_closure_and_inverses(group):
 def test_roots_permuted_by_group(rs, group):
     full = set(rs.values()) | {tuple(-x for x in a) for a in rs.values()}
     for w in group:
-        assert {w.apply(a) for a in full} == full
+        assert {apply(w, a) for a in full} == full
 
 
 # signed permutations are linear, so integer vectors check the same property
@@ -290,7 +308,7 @@ vectors = st.tuples(coordinate, coordinate, coordinate, coordinate)
 @given(vectors, vectors, st.integers(min_value=0, max_value=191))
 def test_group_acts_by_isometries(group, u, v, n):
     w = list(group)[n]
-    assert inner(w.apply(u), w.apply(v)) == inner(u, v)
+    assert inner(apply(w, u), apply(w, v)) == inner(u, v)
 
 
 # -- sympy.liealgebras as an independent oracle (skipped without sympy) -----
