@@ -201,13 +201,15 @@ def _weyl_order(run):
 
 
 def _stabilizer_order(run):
-    # the words are reduced, so the subgroup generated by 1, 2 and 3 is the elements whose word avoids 9
-    b_point = (1, 1, 1, 1)
-    fixers = [w for w, image in zip(run.group, rootsys.images(run.group, b_point)) if image == b_point]
-    parabolic = [w for w, word in run.group.items() if 9 not in word]
+    # the words are reduced, so the stabilizer labels generate the elements whose word avoids the moving labels
+    point, labels = rootsys.BASE_POINT, rootsys.STABILIZER_INDICES
+    moving = set(SIMPLE_INDICES).difference(labels)
+    fixers = [w for w, image in zip(run.group, rootsys.images(run.group, point)) if image == point]
+    parabolic = [w for w, word in run.group.items() if moving.isdisjoint(word)]
     return (
         len(fixers) == 24 and fixers == parabolic,
-        f"{len(fixers)} fix (1,1,1,1), {len(parabolic)} have words in 1, 2, 3, the same: {fixers == parabolic}",
+        f"{len(fixers)} fix ({','.join(map(str, point))}), {len(parabolic)} have words in "
+        f"{', '.join(map(str, labels))}, the same: {fixers == parabolic}",
     )
 
 
@@ -259,13 +261,14 @@ def _theta_identities(run):
 
 def _invariance_suite(run):
     full_gens = [run.gens[i] for i in SIMPLE_INDICES]
-    stab_gens = [run.gens[i] for i in (1, 2, 3)]
+    stab_gens = [run.gens[i] for i in rootsys.STABILIZER_INDICES]
+    moving_gens = [run.gens[i] for i in SIMPLE_INDICES if i not in rootsys.STABILIZER_INDICES]
     e, th = run.invariants
     ok = (
         all(cohomring.is_invariant(th[i], full_gens) for i in range(1, 4))
         and cohomring.is_invariant(e[4], full_gens)
         and all(cohomring.is_invariant(e[i], stab_gens) for i in range(1, 5))
-        and not cohomring.is_invariant(e[1], [run.gens[9]])
+        and not cohomring.is_invariant(e[1], moving_gens)
     )
     return ok, ""
 

@@ -15,6 +15,7 @@ import math
 from itertools import chain, combinations
 from operator import neg, sub
 
+from . import rootsys
 from .cohomring import T_OF_OMEGA, euler_class_d, omega_from_t
 from .rootsys import CartanMatrix, TSignedPerm, along_words, inner
 
@@ -73,21 +74,21 @@ def sum_zero_constraint(classes: dict[int, SymbolicClass]) -> list[LinForm]:
 
 
 def focal_sum(classes: dict[int, SymbolicClass]) -> SymbolicClass:
-    return _sum(classes[idx] for idx in range(7, 13))
+    return _sum(classes[idx] for idx in rootsys.FOCAL_INDICES)
 
 
 def symmetry_constraint(classes: dict[int, SymbolicClass], gens: dict[int, TSignedPerm]) -> list[LinForm]:
-    """The focal part (roots 7..12) must be a symmetric function of the t_i.
+    """The focal part (the roots ``rootsys.FOCAL_INDICES``) must be a symmetric function of the t_i.
 
-    The stabilizer generators 1, 2 and 3 act on t by the transpositions of
-    adjacent variables, which generate the full symmetric group, so
-    invariance under those three suffices.  Four rows per generator, one per
-    t coefficient of image minus focal sum.
+    The stabilizer generators ``rootsys.STABILIZER_INDICES`` act on t by the
+    transpositions of adjacent variables, which generate the full symmetric
+    group, so invariance under them suffices.  Four rows per
+    generator, one per t coefficient of image minus focal sum.
     """
     total = focal_sum(classes)
     return [
         tuple(map(sub, image, form))
-        for g in (1, 2, 3)
+        for g in rootsys.STABILIZER_INDICES
         for image, form in zip(apply_pullback(gens[g], total), total)
     ]
 
@@ -216,7 +217,7 @@ def check_orbit_table(classes: dict[int, SymbolicClass]) -> dict[int, bool]:
 
 def check_focal_table(classes: dict[int, SymbolicClass]) -> dict[int, bool]:
     """Match the six focal classes against the table with k3 eliminated."""
-    return _match_table(TABLE_FOCAL, range(7, 13), classes, True)
+    return _match_table(TABLE_FOCAL, rootsys.FOCAL_INDICES, classes, True)
 
 
 def focal_sum_reduced(classes: dict[int, SymbolicClass]) -> list[tuple[int, int, int]]:

@@ -17,10 +17,16 @@ in one sweep, and an orbit reads each image's word off the group.
 from __future__ import annotations
 
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 #: Labels of the simple reflections, in the fixed generator order.
 SIMPLE_INDICES = (1, 2, 3, 9)
+#: The point (2-3) of the closed chamber; its stabilizer is generated by the
+#: simple reflections whose roots are orthogonal to it, and the focal roots of
+#: table (4-3) are the positive roots that are not.
+BASE_POINT = (1, 1, 1, 1)
+STABILIZER_INDICES = (1, 2, 3)
+FOCAL_INDICES = range(7, 13)
 
 
 def inner(u: tuple, v: tuple) -> int:
@@ -39,23 +45,6 @@ class TSignedPerm(NamedTuple):
 
     perm: tuple[int, int, int, int]
     signs: tuple[int, int, int, int]
-
-
-def signed_perm(columns: Sequence[Sequence], what: str) -> TSignedPerm:
-    """The signed permutation that sends basis vector k to ``columns[k]``.
-
-    Raises ValueError naming ``what`` if some column is not a signed unit vector
-    or two columns share a target.
-    """
-    perm = [0] * 4
-    signs = [0] * 4
-    for k, col in enumerate(columns):
-        nonzero = [(t, c) for t, c in enumerate(col) if c != 0]
-        if len(nonzero) != 1 or abs(nonzero[0][1]) != 1 or nonzero[0][0] in perm[:k]:
-            raise ValueError(f"{what} is not a signed permutation")
-        perm[k] = nonzero[0][0]
-        signs[k] = 1 if nonzero[0][1] > 0 else -1
-    return TSignedPerm(tuple(perm), tuple(signs))
 
 
 # Positive roots by their printed labels 1..12; entries are (+-e_i +- e_j).
@@ -104,20 +93,25 @@ def simple_cartan_matrix(rs: dict[int, tuple]) -> CartanMatrix:
 
 
 def reflection(rs: dict[int, tuple], i: int) -> TSignedPerm:
-    """The reflection in the hyperplane normal to the positive root labelled i."""
+    """The reflection in the hyperplane normal to the positive root labelled i.
+
+    It is read off the integer vectors norm * s(e_k) = norm * e_k - 2 alpha_k alpha,
+    norm = (alpha, alpha): each must have one nonzero entry, and that entry +-norm.
+    """
     alpha = rs[i]
     if not any(alpha):
         raise ValueError(f"root {i} is zero")
     norm = inner(alpha, alpha)
-    what = f"reflection {i}"
-    images = []
+    perm, signs = [0] * 4, [0] * 4
     for k in range(4):
-        # e_k - 2 alpha_k / (alpha, alpha) * alpha; a signed permutation has integer entries
-        entries = [divmod(2 * alpha[k] * a, norm) for a in alpha]
-        if any(rem for _, rem in entries):
-            raise ValueError(f"{what} is not a signed permutation")
-        images.append([(1 if t == k else 0) - q for t, (q, _) in enumerate(entries)])
-    return signed_perm(images, what)
+        image = [-2 * alpha[k] * a for a in alpha]
+        image[k] += norm
+        nonzero = [t for t, x in enumerate(image) if x]
+        if len(nonzero) != 1 or abs(image[nonzero[0]]) != norm:
+            raise ValueError(f"reflection {i} is not a signed permutation")
+        perm[k] = nonzero[0]
+        signs[k] = image[perm[k]] // norm
+    return TSignedPerm(tuple(perm), tuple(signs))
 
 
 def simple_generators(rs: dict[int, tuple]) -> dict[int, TSignedPerm]:

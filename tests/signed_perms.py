@@ -5,14 +5,17 @@ and applies them to a vector only in ``rootsys.images``; these plain
 definitions are what the tests compare both, and the words the closure
 returns, against.  ``ALL_SIGNED_PERMS`` lists every signed permutation, for
 tests that run a kernel on each, and ``WORD_SETS`` draws word sets whose
-tails need not be words of the set.
+tails need not be words of the set.  ``reflection`` reads a reflection as a
+matrix with remainders and then as columns (``signed_perm``); the tests
+compare ``rootsys.reflection``, which reads it in one pass, against it.
 """
 
 import itertools
+from typing import Sequence
 
 from hypothesis import strategies as st
 
-from d4check.rootsys import TSignedPerm
+from d4check.rootsys import TSignedPerm, inner
 
 IDENTITY = TSignedPerm((0, 1, 2, 3), (1, 1, 1, 1))
 
@@ -50,3 +53,37 @@ def element_from_word(word, gens) -> TSignedPerm:
     for label in reversed(word):
         w = compose(gens[label], w)
     return w
+
+
+def signed_perm(columns: Sequence[Sequence], what: str) -> TSignedPerm:
+    """The signed permutation that sends basis vector k to ``columns[k]``.
+
+    Raises ValueError naming ``what`` if some column is not a signed unit vector
+    or two columns share a target.
+    """
+    perm = [0] * 4
+    signs = [0] * 4
+    for k, col in enumerate(columns):
+        nonzero = [(t, c) for t, c in enumerate(col) if c != 0]
+        if len(nonzero) != 1 or abs(nonzero[0][1]) != 1 or nonzero[0][0] in perm[:k]:
+            raise ValueError(f"{what} is not a signed permutation")
+        perm[k] = nonzero[0][0]
+        signs[k] = 1 if nonzero[0][1] > 0 else -1
+    return TSignedPerm(tuple(perm), tuple(signs))
+
+
+def reflection(rs: dict[int, tuple], i: int) -> TSignedPerm:
+    """The reflection in the hyperplane normal to the positive root labelled i."""
+    alpha = rs[i]
+    if not any(alpha):
+        raise ValueError(f"root {i} is zero")
+    norm = inner(alpha, alpha)
+    what = f"reflection {i}"
+    images = []
+    for k in range(4):
+        # e_k - 2 alpha_k / (alpha, alpha) * alpha; a signed permutation has integer entries
+        entries = [divmod(2 * alpha[k] * a, norm) for a in alpha]
+        if any(rem for _, rem in entries):
+            raise ValueError(f"{what} is not a signed permutation")
+        images.append([(1 if t == k else 0) - q for t, (q, _) in enumerate(entries)])
+    return signed_perm(images, what)

@@ -286,6 +286,28 @@ PLANTED_FAULTS = {
         "stabilizer-order",
         "24 fix (1,1,1,1), 12 have words in 1, 2, 3, the same: False",
     ),
+    # the named sets are data that the checks certify: 1 and 2 alone generate 6 of the 24 fixers,
+    # six roots from 6 on are no focal table, and (1,1,1,0) has 6 fixers
+    "stabilizer-indices-dropped": (
+        lambda mp: mp.setattr(rootsys, "STABILIZER_INDICES", (1, 2)),
+        "stabilizer-order",
+        "6 have words in 1, 2",
+    ),
+    "focal-indices-shifted": (
+        lambda mp: mp.setattr(rootsys, "FOCAL_INDICES", range(6, 12)),
+        "focal-table",
+        "expected 6..11",
+    ),
+    "focal-indices-shifted-solver": (
+        lambda mp: mp.setattr(rootsys, "FOCAL_INDICES", range(6, 12)),
+        "pontryagin-solver",
+        "solution space has dimension 0",
+    ),
+    "base-point-moved": (
+        lambda mp: mp.setattr(rootsys, "BASE_POINT", (1, 1, 1, 0)),
+        "stabilizer-order",
+        "24 have words in 1, 2, 3, the same: False",
+    ),
     "first-root-e1-orbit": (
         lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 1, (1, 0, 0, 0)),
         "root-orbit",
@@ -619,6 +641,7 @@ def test_derived_object_read_on_the_class_is_its_descriptor():
 #: and written-out entries, with no generator frame per element.
 INTEGER_KERNELS = (
     rootsys.inner,
+    rootsys.reflection,
     rootsys.images,
     cohomring.omega_from_t,
     cohomring.kronecker,

@@ -12,6 +12,7 @@ from d4check import cohomring, obstruct, pontsolve, rootsys, vect4
 from d4check.obstruct import EXPECTED_CARTAN
 from d4check.rootsys import WORD_TABLE, TSignedPerm, build_d4, inner
 from signed_perms import ALL_SIGNED_PERMS, IDENTITY, WORD_SETS, apply, compose, element_from_word
+from signed_perms import reflection as reference_reflection
 
 
 @pytest.fixture(scope="module")
@@ -119,17 +120,31 @@ def test_compose_is_the_action(group):
             assert apply(compose(g, h), v) == apply(g, apply(h, v))
 
 
-@pytest.mark.parametrize(
-    "columns",
-    [
-        [(1, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
-        [(0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)],
-    ],
-)
-def test_signed_perm_rejects_repeated_target(columns):
-    # signed unit columns that send two basis vectors to one target
-    with pytest.raises(ValueError, match="^x is not a signed permutation$"):
-        rootsys.signed_perm(columns, "x")
+def _reflection_or_message(reflection, alpha):
+    try:
+        return reflection({1: alpha}, 1)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_reflection_matches_the_reference_on_every_small_vector():
+    # every integer 4-tuple with entries in -3..3: the same signed permutation, or the same message
+    outcomes = {}
+    for alpha in itertools.product(range(-3, 4), repeat=4):
+        got = _reflection_or_message(rootsys.reflection, alpha)
+        assert got == _reflection_or_message(reference_reflection, alpha), alpha
+        outcomes[type(got)] = outcomes.get(type(got), 0) + 1
+    assert outcomes == {TSignedPerm: 96, str: 2401 - 96}
+
+
+def test_named_sets_are_read_off_the_base_point(rs, gens):
+    # the stabilizer labels are the simple roots orthogonal to the base point, the focal
+    # labels the positive roots that are not, and only generator 9 moves the point
+    point = rootsys.BASE_POINT
+    assert rootsys.STABILIZER_INDICES == tuple(i for i in rootsys.SIMPLE_INDICES if inner(rs[i], point) == 0)
+    assert list(rootsys.FOCAL_INDICES) == [i for i, root in rs.items() if inner(root, point) != 0]
+    assert all(apply(gens[i], point) == point for i in rootsys.STABILIZER_INDICES)
+    assert apply(gens[9], point) != point
 
 
 def test_stabilizer_subgroup(rs, gens):
