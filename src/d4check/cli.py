@@ -14,18 +14,14 @@ from .obstruct import CHECK_IDS, VerificationReport
 from .rootsys import SIMPLE_INDICES
 
 
-#: The switch every command line knows, before and after its command.
-_HELP = ("-h", "--help")
-
-#: long option -> (how its value is read, default, metavar, help).  A value is
-#: read by ``int`` or ``str``, or is one of a tuple of choices; a switch has
-#: ``None`` there, takes no value and sets True.
+#: long option -> (its value's reader, default, metavar, help); the reader is ``int``, ``str`` or
+#: a tuple of choices, or ``None`` for a switch, which takes no value and sets True.
 _REPORT_OPTIONS = {
-    "--format": (("text", "json"), "text", "{text,json}", "report format (default: text)"),
+    "--format": (("text", "json"), "text", None, "report format (default: text)"),
     "--window": (int, obstruct.DEFAULT_WINDOW, "N",
                  f"half-width of the finite bundle-check window (>= 4, default: {obstruct.DEFAULT_WINDOW})"),
-    "--no-symmetry-constraint": (None, False, "", "diagnostic: drop the focal-symmetry constraint"),
-    "--skip-window-checks": (None, False, "", "diagnostic: skip the finite-window bundle checks"),
+    "--no-symmetry-constraint": (None, False, None, "diagnostic: drop the focal-symmetry constraint"),
+    "--skip-window-checks": (None, False, None, "diagnostic: skip the finite-window bundle checks"),
     "--out": (str, None, "PATH", "also write the report to a file"),
 }
 
@@ -34,8 +30,8 @@ COMMANDS = {
     "verify-all": ("", _REPORT_OPTIONS, "run every check and the theorem pipeline"),
     "verify": ("CHECK_ID", _REPORT_OPTIONS, "run a single check, building only what it reads"),
     "roots": ("", {}, "print the positive roots"),
-    "weyl": ("", {"--order": (None, False, "", "print only the group order")}, "Weyl group information"),
-    "tables": ("", {"--which": (("4-2", "4-3"), "4-2", "{4-2,4-3}", "which table (default: 4-2)")},
+    "weyl": ("", {"--order": (None, False, None, "print only the group order")}, "Weyl group information"),
+    "tables": ("", {"--which": (("4-2", "4-3"), "4-2", None, "which table (default: 4-2)")},
                "print the symbolic orbit-class tables"),
 }
 
@@ -45,150 +41,68 @@ def _usage_error(message: str):
     raise SystemExit(2)
 
 
-def _rows(rows) -> list[str]:
-    width = max(len(left) for left, _ in rows) + 2
-    return [f"  {left:<{width}}{text}" for left, text in rows]
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """``argv`` read off ``COMMANDS`` if it is plain, else ``None``.
 
-
-def _help(command: str | None) -> str:
-    """The usage text of the top level (``command`` None) or of one command."""
-    options = [("-h, --help", "show this help message and exit")]
-    if command is None:
-        commands = [(f"{name} {word}".rstrip(), text) for name, (word, _, text) in COMMANDS.items()]
-        return "\n".join([
-            "usage: d4check [-h] COMMAND ...", "",
-            "Exact-arithmetic verifier for the nonexistence of isoparametric foliations",
-            "of R^52 with D4 diagram and uniform multiplicity 4.", "",
-            "commands:", *_rows(commands), "",
-            "options:", *_rows(options), "",
-            "'d4check COMMAND -h' lists the options of COMMAND.",
-        ])
-    word, table, text = COMMANDS[command]
-    options += [(f"{name} {metavar}".rstrip(), about) for name, (_, _, metavar, about) in table.items()]
-    usage = " ".join(filter(None, ["usage: d4check", command, "[-h]", "[options]" if table else "", word]))
-    lines = [usage, "", text]
-    if word:
-        lines += ["", f"{word}: one of {', '.join(CHECK_IDS)}"]
-    return "\n".join([*lines, "", "options:", *_rows(options)])
-
-
-def _show_help(command: str | None, value: str | None):
-    if value is not None:
-        _usage_error(f"argument -h/--help: ignored explicit argument {value!r}")
-    print(_help(command))
-    raise SystemExit(0)
-
-
-def _classify(token: str, names) -> tuple[str, str | None] | None:
-    """How a command line reads ``token`` against the option ``names``.
-
-    ``None`` for a word (a command, a CHECK_ID or an option's value), else
-    ``(name, value)`` for one of ``names``, with the text after its ``=`` (or
-    after ``-h``) as ``value``, or ``None`` if there is none.  A unique prefix
-    of a long option names it, as argparse's ``allow_abbrev`` allows; an
-    ambiguous one is a usage error.  Any other option is ``("", None)``.
+    A plain line is a command, then options by their exact names, each with a
+    valid value that does not start with ``-``, and ``verify``'s one CHECK_ID.
     """
-    if not token.startswith("-") or token == "-":
-        return None
-    if token in names:
-        return token, None
-    if token.startswith("--"):
-        prefix, sep, value = token.partition("=")
-        matches = [prefix] if prefix in names else [name for name in names if name.startswith(prefix)]
-        if len(matches) > 1:
-            _usage_error(f"ambiguous option: {prefix} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], value if sep else None
-    elif token.startswith("-h"):
-        return "-h", token[2:]
-    elif token[1:].isdecimal():  # a negative int is a word
-        return None
-    return None if " " in token else ("", None)
-
-
-def _marks(args: list[str], names) -> list:
-    """``_classify`` of each token; ``--`` itself is marked ``"--"``, and every token after it is a word."""
-    if "--" in args:
-        end = args.index("--")
-        return [_classify(token, names) for token in args[:end]] + ["--"] + [None] * (len(args) - end - 1)
-    return [_classify(token, names) for token in args]
-
-
-def _value(name: str, read, value: str):
-    if isinstance(read, tuple):
-        if value not in read:
-            _usage_error(f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, read))})")
-        return value
-    try:
-        return read(value)
-    except ValueError:
-        _usage_error(f"argument {name}: invalid {read.__name__} value: {value!r}")
-
-
-def parse_args(argv: list[str]) -> SimpleNamespace:
-    """The command and its values, read off ``argv`` by the ``COMMANDS`` table.
-
-    Returns a namespace of ``command``, ``check_id`` (for ``verify`` only)
-    and one attribute per option of the command, named like the option
-    without its dashes and with ``_`` for ``-``.  Options and the
-    CHECK_ID come in any order, as ``--opt value`` or ``--opt=value``, and the
-    last of a repeated option wins.  ``-h`` prints the usage and exits 0.  A
-    bad command line exits 2 as argparse did: at a bad value or an unknown
-    command once it is read, and at a missing or stray word or an unknown
-    option only after the whole line is read, so a later ``-h`` still helps.
-    """
-    stray = []
-    marks = _marks(argv, _HELP)
-    for i, mark in enumerate(marks):
-        if mark is None:
-            break
-        if mark == "--":
-            continue
-        if mark[0]:
-            _show_help(None, mark[1])
-        stray.append(argv[i])
-    else:
-        _usage_error("the following arguments are required: COMMAND")
-    command, args = argv[i], argv[i + 1:]
+    command, *args = argv or [""]
     if command not in COMMANDS:
-        _usage_error(f"argument COMMAND: invalid choice: {command!r} (choose from {', '.join(map(repr, COMMANDS))})")
-    word, table, _ = COMMANDS[command]
-    values = {name: spec[1] for name, spec in table.items()}
-    words = []
-    marks = _marks(args, (*_HELP, *table))
-    j = 0
-    while j < len(args):
-        token, mark = args[j], marks[j]
-        j += 1
-        if mark is None:
-            (stray if words or not word else words).append(token)
-        elif mark == "--":
-            continue
-        elif not mark[0]:
-            stray.append(token)
-        elif mark[0] in _HELP:
-            _show_help(command, mark[1])
+        return None
+    word, options, _ = COMMANDS[command]
+    values = {name: spec[1] for name, spec in options.items()}
+    tokens = iter(args)
+    for token in tokens:
+        if not token.startswith("-"):
+            if not word or word in values:
+                return None
+            values[word] = token
+        elif token not in options:
+            return None
+        elif (read := options[token][0]) is None:
+            values[token] = True
+        elif (value := next(tokens, "-")).startswith("-"):
+            return None
         else:
-            name, value = mark
-            read = table[name][0]
+            try:
+                values[token] = read[read.index(value)] if isinstance(read, tuple) else read(value)
+            except ValueError:  # not an int, or not one of the choices
+                return None
+    if word and word not in values:
+        return None
+    return SimpleNamespace(command=command, **{n.lstrip("-").lower().replace("-", "_"): v for n, v in values.items()})
+
+
+def _argparse(argv: list[str]):
+    """``argv`` read by argparse, built from ``COMMANDS``; a usage error prints one line and exits 2."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="d4check", epilog="'d4check COMMAND -h' lists the options of COMMAND.",
+                                     description="Exact-arithmetic verifier for the nonexistence of isoparametric "
+                                                 "foliations of R^52 with D4 diagram and uniform multiplicity 4.")
+    parser.error = _usage_error
+    commands = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND", required=True)
+    for command, (word, options, text) in COMMANDS.items():
+        sub = commands.add_parser(command, help=text, description=text)
+        sub.error = _usage_error
+        if word:
+            sub.add_argument(word.lower(), metavar=word, help=f"one of {', '.join(CHECK_IDS)}")
+        for name, (read, default, metavar, about) in options.items():
             if read is None:
-                if value is not None:
-                    _usage_error(f"argument {name}: ignored explicit argument {value!r}")
-                value = True
+                sub.add_argument(name, action="store_true", help=about)
             else:
-                if value is None:
-                    if j == len(args) or marks[j] is not None:
-                        _usage_error(f"argument {name}: expected one argument")
-                    value = args[j]
-                    j += 1
-                value = _value(name, read, value)
-            values[name] = value
-    if word and not words:
-        _usage_error(f"the following arguments are required: {word}")
-    if stray:
-        _usage_error(f"unrecognized arguments: {' '.join(stray)}")
-    values = {name[2:].replace("-", "_"): value for name, value in values.items()}
-    return SimpleNamespace(command=command, **values, **({"check_id": words[0]} if words else {}))
+                kind = "choices" if isinstance(read, tuple) else "type"
+                sub.add_argument(name, **{kind: read}, default=default, metavar=metavar, help=about)
+    return parser.parse_args(argv)
+
+
+def parse_args(argv: list[str]):
+    """The command and its values: ``command``, ``check_id`` (for ``verify``) and one attribute per option.
+
+    A plain line is read off the table; argparse reads the rest: help, prefixes, ``--opt=value`` and ``--``.
+    """
+    return _plain(argv) or _argparse(argv)
 
 
 def _render_symbol_row(symbols) -> str:

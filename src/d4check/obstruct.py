@@ -305,9 +305,10 @@ def _generator_pairs(run):
     ca, cb, mod = vect4.RULE
     t, g = vect4.tau(), vect4.gamma()
     gcd, det = math.gcd(ca, cb, mod), abs(t[0] * g[1] - t[1] * g[0])
-    tr, gr, unit = (vect4.is_realizable(*x) for x in (t, g, (1, 0)))
+    off = (1, 0)  # a pair off the lattice
+    tr, gr, unit = (vect4.is_realizable(*x) for x in (t, g, off))
     ok = t == (2, 0) and g == (1, -2) and gcd == 1 and tr and gr and not unit and det == mod
-    realizable = f"tau {t} {tr}, gamma {g} {gr}, (1, 0) {unit}"
+    realizable = f"tau {t} {tr}, gamma {g} {gr}, {off} {unit}"
     return ok, f"gcd{vect4.RULE} = {gcd}; realizable: {realizable}; |det(tau, gamma)| = {det}"
 
 

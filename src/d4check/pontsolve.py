@@ -194,13 +194,15 @@ def _symbol_form(sym: str) -> LinForm:
     return tuple(map(neg, form)) if sym.startswith("-") else form
 
 
-def _match_table(table: dict, rows: range, classes: dict[int, SymbolicClass], k3_is_minus_k: bool) -> dict:
+def _match_table(table: dict, rows: range | tuple, classes: dict[int, SymbolicClass], k3_is_minus_k: bool) -> dict:
     """Per table row: do the class and the row agree over the reduced unknowns?
 
     Raises ValueError unless the table has exactly the rows ``rows``.
     """
-    if sorted(table) != list(rows):
-        raise ValueError(f"table rows {sorted(table)}, expected {rows.start}..{rows.stop - 1}")
+    labels = list(rows)
+    if sorted(table) != labels:
+        span = f"{labels[0]}..{labels[-1]}" if labels and labels == list(range(labels[0], labels[-1] + 1)) else labels
+        raise ValueError(f"table rows {sorted(table)}, expected {span}")
     # each distinct symbol once, in row order, so the first misspelt one is named
     symbols = dict.fromkeys(chain.from_iterable(map(table.__getitem__, rows)))
     reduced = {s: _substitute(_symbol_form(s), k3_is_minus_k) for s in symbols}

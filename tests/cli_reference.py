@@ -1,9 +1,10 @@
 """Test-side reference command line: the ``argparse`` parser the CLI once used.
 
-``d4check.cli.parse_args`` reads the command line from a table, so that a
-fresh ``python -m d4check.cli`` imports no ``argparse``.  This is the parser it
-replaced, kept verbatim, and the differential test requires both to accept the
-same command lines with the same meaning.
+``d4check.cli.parse_args`` reads a plain command line off a table, so that the
+benchmark's ``python -m d4check.cli`` lines import no ``argparse``, and hands
+every other line to an argparse parser built from that table.  This is the
+parser the CLI used before the table, kept verbatim, and the differential test
+requires both to accept the same command lines with the same meaning.
 """
 
 import argparse

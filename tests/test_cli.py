@@ -201,16 +201,16 @@ def test_help_exits_0(capsys, command, flag):
 
 
 #: Tokens of the differential test: every command, every long option and each
-#: of its unique prefixes, -h, --opt=value forms, values, the check ids and a
-#: stray word.  Left out: ``--``, which argparse reads differently across Python
-#: versions and the table parser takes as the end of the options, and
-#: single-dash tokens other than -h and negative ints, which argparse may read
-#: as several switches in one, or (``-1.5``) as a word.
+#: of its unique prefixes, -h, --opt=value forms, values, the check ids, a
+#: stray word, ``--``, ``-``, ``-x`` and a word with a space.  The plain reading
+#: declines every line with ``--``, ``-`` or ``-x``, so the running argparse reads
+#: it on both sides, whatever its version.  Left out: other single-dash tokens,
+#: which argparse may read as several switches in one, or (``-1.5``) as a word.
 _LONG_OPTIONS = ["--help", "--format", "--window", "--no-symmetry-constraint", "--skip-window-checks", "--out",
                  "--order", "--which"]
 _VALUES = ["3", "7", "-3", "x", "text", "json", "xml", "4-2", "4-3"]
 _TOKENS = sorted(
-    {*COMMANDS, "-h", *_VALUES, *CHECK_IDS, "stray"}
+    {*COMMANDS, "-h", *_VALUES, *CHECK_IDS, "stray", "--", "-", "-x", "a b"}
     | {option[:end] for option in _LONG_OPTIONS for end in range(3, len(option) + 1)}
     | {f"{option}={value}" for option in _LONG_OPTIONS for value in _VALUES}
 )
@@ -244,6 +244,16 @@ def test_parser_reads_command_lines_as_argparse(argv):
     assert expected[0] == "ok" or expected[1] in (0, 2)
 
 
+def test_double_dash_ends_the_options(capsys):
+    # after the command, every argument after -- is a word
+    code, out = run_cli(capsys, "verify", "--", "weyl-order")
+    assert code == 0
+    assert out.splitlines()[-1] == "theorem status: NOT-RUN"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--", "--window"])
+    assert exc.value.code == 2
+
+
 def test_weyl_order(capsys):
     code, out = run_cli(capsys, "weyl", "--order")
     assert code == 0
@@ -272,6 +282,27 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     code = (
         "import sys; before = set(sys.modules); import d4check.cli; "
         "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'json'} & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(d4check.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_plain_command_lines_load_no_argparse(tmp_path):
+    # the benchmark's command lines, the diagnostic switches, --window and --out are
+    # read off the table; only help, malformed lines and the rarer forms load argparse
+    lines = [
+        ["verify-all"], ["verify-all", "--format", "json"], ["verify", "weyl-order"],
+        ["verify", "t-actions", "--format", "json"], ["verify-all", "--no-symmetry-constraint"],
+        ["verify-all", "--skip-window-checks"], ["verify-all", "--window", "7"],
+        ["verify-all", "--out", str(tmp_path / "report.txt")], ["weyl", "--order"], ["tables", "--which", "4-3"],
+    ]
+    code = (
+        "import contextlib, io, sys; import d4check.cli\n"
+        f"for argv in {lines!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert d4check.cli.main(argv) == 0, argv\n"
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(d4check.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

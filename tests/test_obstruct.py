@@ -298,6 +298,12 @@ PLANTED_FAULTS = {
         "focal-table",
         "expected 6..11",
     ),
+    # five focal labels are no focal table either, named by their span
+    "focal-indices-tuple": (
+        lambda mp: mp.setattr(rootsys, "FOCAL_INDICES", (7, 8, 9, 10, 11)),
+        "focal-table",
+        "expected 7..11",
+    ),
     "focal-indices-shifted-solver": (
         lambda mp: mp.setattr(rootsys, "FOCAL_INDICES", range(6, 12)),
         "pontryagin-solver",

@@ -224,6 +224,8 @@ def test_exact_sequence_walk_call_counts(monkeypatch, window, points):
 
 def test_leaf_congruence_odd():
     assert vect4.leaf_congruence(-1, 2) == ("-2k - 2 == 0 (mod 4)", [1, 3])
+    # a positive constant keeps its sign
+    assert vect4.leaf_congruence(1, 2) == ("-2k + 2 == 0 (mod 4)", [1, 3])
 
 
 def test_leaf_congruence_even():
