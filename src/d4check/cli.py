@@ -9,9 +9,8 @@ import sys
 from collections import Counter
 from types import SimpleNamespace
 
-from . import obstruct, pontsolve, report
+from . import obstruct, pontsolve, report, rootsys
 from .obstruct import CHECK_IDS, VerificationReport
-from .rootsys import SIMPLE_INDICES
 
 
 #: long option -> (its value's reader, default, metavar, help); the reader is ``int``, ``str`` or
@@ -83,11 +82,14 @@ def _argparse(argv: list[str]):
                                                  "foliations of R^52 with D4 diagram and uniform multiplicity 4.")
     parser.error = _usage_error
     commands = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND", required=True)
+    # the check ids go one per line after the options, where the help wraps none of them at a hyphen
+    listed = {"epilog": "\n  ".join(["CHECK_ID is one of:", *CHECK_IDS]),
+              "formatter_class": argparse.RawDescriptionHelpFormatter}
     for command, (word, options, text) in COMMANDS.items():
-        sub = commands.add_parser(command, help=text, description=text)
+        sub = commands.add_parser(command, help=text, description=text, **(listed if word else {}))
         sub.error = _usage_error
         if word:
-            sub.add_argument(word.lower(), metavar=word, help=f"one of {', '.join(CHECK_IDS)}")
+            sub.add_argument(word.lower(), metavar=word, help="a check id, listed below")
         for name, (read, default, metavar, about) in options.items():
             if read is None:
                 sub.add_argument(name, action="store_true", help=about)
@@ -113,7 +115,7 @@ def _cmd_roots() -> int:
     for i, root in obstruct.Run().rs.items():
         coords = ", ".join(str(c) for c in root)
         print(f"alpha_{i:<2} = ({coords})")
-    print(f"simple indices: {SIMPLE_INDICES}")
+    print(f"simple indices: {rootsys.SIMPLE_INDICES}")
     return 0
 
 

@@ -16,14 +16,15 @@ from __future__ import annotations
 import itertools
 from operator import mul
 
-from .rootsys import SIMPLE_INDICES, CartanMatrix, TSignedPerm
+from . import rootsys
+from .rootsys import CartanMatrix, SignedPerm
 
 
 def _pos(i: int) -> int:
     """The entry of simple index ``i`` in a class; ValueError for any other index."""
-    if i not in SIMPLE_INDICES:
+    if i not in rootsys.SIMPLE_INDICES:
         raise ValueError(f"not a simple index: {i}")
-    return SIMPLE_INDICES.index(i)
+    return rootsys.SIMPLE_INDICES.index(i)
 
 
 def unit(i: int) -> tuple[int, int, int, int]:
@@ -119,21 +120,20 @@ def theta(i: int) -> dict:
     return _symmetric(i, 2)
 
 
-def act_on_polynomial(sp: TSignedPerm, p: dict) -> dict:
-    """Substitute each t_j by its image under ``sp``, extended multiplicatively.
+def act_on_polynomial(sp: SignedPerm, p: dict) -> dict:
+    """Substitute each t_i by its image under ``sp``, extended multiplicatively.
 
-    Exponent j moves to the variable ``perm[j]``, and the term picks up the
-    sign prod_j signs[j]^e_j, read only where ``signs[j]`` is not 1.
+    Exponent j of the image is exponent |sp[j]| of the term, 1-based, and
+    the term picks up (-1)^e for each exponent e moved to a negative entry.
     """
-    (p0, p1, p2, p3), signs = sp
-    flips = [(j, s) for j, s in enumerate(signs) if s != 1]
+    i0, i1, i2, i3 = [abs(a) - 1 for a in sp]
+    flips = [j for j, a in enumerate(sp) if a < 0]
     image: dict[tuple, int] = {}
     for expo, coeff in p.items():
-        moved = [0, 0, 0, 0]
-        moved[p0], moved[p1], moved[p2], moved[p3] = expo
-        for j, s in flips:
-            coeff *= s ** expo[j]
-        image[tuple(moved)] = coeff
+        moved = (expo[i0], expo[i1], expo[i2], expo[i3])
+        for j in flips:
+            coeff *= (-1) ** moved[j]
+        image[moved] = coeff
     return image
 
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from operator import mul
+from operator import mul, neg
 from typing import NamedTuple
 
 from . import cohomring, pontsolve, rootsys, vect4
 from .cohomring import kronecker, unit
-from .rootsys import SIMPLE_INDICES
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,12 @@ class Run:
 
     @_derived
     def gens(self):
-        return rootsys.simple_generators(self.rs)
+        gens = rootsys.simple_generators(self.rs)
+        # every action reads entry |a| of a table, so only signed permutations keep the closure inside B4
+        for label, g in gens.items():
+            if sorted(map(abs, g)) != [1, 2, 3, 4]:
+                raise ValueError(f"generator {label} is not a signed permutation")
+        return gens
 
     @_derived
     def group(self):
@@ -188,12 +192,7 @@ def _with_symmetry(run: Run) -> bool:
 
 EXPECTED_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
 
-EXPECTED_T_ACTIONS = {
-    1: rootsys.TSignedPerm((1, 0, 2, 3), (1, 1, 1, 1)),
-    2: rootsys.TSignedPerm((0, 2, 1, 3), (1, 1, 1, 1)),
-    3: rootsys.TSignedPerm((0, 1, 3, 2), (1, 1, 1, 1)),
-    9: rootsys.TSignedPerm((0, 1, 3, 2), (1, 1, -1, -1)),
-}
+EXPECTED_T_ACTIONS = {1: (2, 1, 3, 4), 2: (1, 3, 2, 4), 3: (1, 2, 4, 3), 9: (1, 2, -4, -3)}
 
 
 def _weyl_order(run):
@@ -203,7 +202,7 @@ def _weyl_order(run):
 def _stabilizer_order(run):
     # the words are reduced, so the stabilizer labels generate the elements whose word avoids the moving labels
     point, labels = rootsys.BASE_POINT, rootsys.STABILIZER_INDICES
-    moving = set(SIMPLE_INDICES).difference(labels)
+    moving = set(rootsys.SIMPLE_INDICES).difference(labels)
     fixers = [w for w, image in zip(run.group, rootsys.images(run.group, point)) if image == point]
     parabolic = [w for w, word in run.group.items() if moving.isdisjoint(word)]
     return (
@@ -223,24 +222,24 @@ def _root_orbit(run):
 
 
 def _kronecker_submatrix(run):
-    sub = [[kronecker(run.pushed[i][0], run.pushed[j][1]) for j in SIMPLE_INDICES] for i in SIMPLE_INDICES]
+    simple = rootsys.SIMPLE_INDICES
+    sub = [[kronecker(run.pushed[i][0], run.pushed[j][1]) for j in simple] for i in simple]
     return sub == EXPECTED_CARTAN, f"submatrix {sub}"
 
 
 def _basis_roundtrip(run):
     # t is e: a simple root in t coordinates has its Cartan row as omega coordinates
-    images = [cohomring.omega_from_t(run.rs[i]) for i in SIMPLE_INDICES]
+    images = [cohomring.omega_from_t(run.rs[i]) for i in rootsys.SIMPLE_INDICES]
     return images == [tuple(row) for row in run.cartan], f"simple roots in omega coordinates {images}"
 
 
 def _reflections_on_t(run):
-    # (3-3) on the omega rows of t1..t4: a reflection sending e_k to s e_p sends row k to s row p
-    rows = cohomring.T_OF_OMEGA
+    # (3-3) on the omega rows of t1..t4: a reflection whose entry j is s (k + 1) sends e_k to s e_j,
+    # so it sends s times row k to row j; entry a of ``signed`` is row |a|, negated for a < 0
+    rows = [tuple(row) for row in cohomring.T_OF_OMEGA]
+    signed = [(), *rows, *[tuple(map(neg, row)) for row in reversed(rows)]]
     intertwine = {
-        i: all(
-            cohomring.cohomology_action_omega(run.cartan, i, rows[k]) == tuple(s * x for x in rows[p])
-            for k, (p, s) in enumerate(zip(g.perm, g.signs))
-        )
+        i: [cohomring.cohomology_action_omega(run.cartan, i, signed[a]) for a in g] == rows
         for i, g in run.gens.items()
     }
     ok = run.gens == EXPECTED_T_ACTIONS and all(intertwine.values())
@@ -249,7 +248,7 @@ def _reflections_on_t(run):
 
 def _pairing_duality(run):
     # b_k names the root sum_j b_k[j] * (simple root j), whose entry t pairs b_k with column t of the simple roots
-    columns = list(zip(*[run.rs[j] for j in SIMPLE_INDICES]))
+    columns = list(zip(*[run.rs[j] for j in rootsys.SIMPLE_INDICES]))
     roots = {k: tuple([sum(map(mul, b, col)) for col in columns]) == run.rs[k] for k, (_, b) in run.pushed.items()}
     return all(roots.values()), f"per-root results: {roots}"
 
@@ -260,9 +259,9 @@ def _theta_identities(run):
 
 
 def _invariance_suite(run):
-    full_gens = [run.gens[i] for i in SIMPLE_INDICES]
+    full_gens = [run.gens[i] for i in rootsys.SIMPLE_INDICES]
     stab_gens = [run.gens[i] for i in rootsys.STABILIZER_INDICES]
-    moving_gens = [run.gens[i] for i in SIMPLE_INDICES if i not in rootsys.STABILIZER_INDICES]
+    moving_gens = [run.gens[i] for i in rootsys.SIMPLE_INDICES if i not in rootsys.STABILIZER_INDICES]
     e, th = run.invariants
     ok = (
         all(cohomring.is_invariant(th[i], full_gens) for i in range(1, 4))

@@ -17,7 +17,7 @@ from operator import neg, sub
 
 from . import rootsys
 from .cohomring import T_OF_OMEGA, euler_class_d, omega_from_t
-from .rootsys import CartanMatrix, TSignedPerm, along_words, inner
+from .rootsys import CartanMatrix, SignedPerm, along_words, inner
 
 # Linear form over the unknowns (k1, k2, k3, k4); a constraint row is one.
 LinForm = tuple[int, int, int, int]
@@ -37,18 +37,15 @@ def _sum(classes) -> SymbolicClass:
     return tuple(tuple(map(sum, zip(*forms))) for forms in zip(*classes))
 
 
-def apply_pullback(sp: TSignedPerm, cls: SymbolicClass) -> SymbolicClass:
+def apply_pullback(sp: SignedPerm, cls: SymbolicClass) -> SymbolicClass:
     """``sp`` applied to the t-vector of each unknown: the columns of ``cls``.
 
-    Coefficient form j moves to ``perm[j]``, negated where ``signs[j]`` is -1.
+    Coefficient form j of the image is form |sp[j]| of ``cls``, 1-based, negated where sp[j] < 0.
     """
-    (p0, p1, p2, p3), signs = sp
-    out = [None] * 4
-    out[p0], out[p1], out[p2], out[p3] = [form if s > 0 else tuple(map(neg, form)) for form, s in zip(cls, signs)]
-    return tuple(out)
+    return tuple([cls[a - 1] if a > 0 else tuple(map(neg, cls[-a - 1])) for a in sp])
 
 
-def orbit_classes(gens: dict[int, TSignedPerm], words: dict[int, tuple[int, ...]]) -> dict[int, SymbolicClass]:
+def orbit_classes(gens: dict[int, SignedPerm], words: dict[int, tuple[int, ...]]) -> dict[int, SymbolicClass]:
     """The symbolic class of each positive root: the generic class pulled back along its word.
 
     ``gens`` are the simple reflections, acting on t1..t4 as on e_1..e_4,
@@ -77,7 +74,7 @@ def focal_sum(classes: dict[int, SymbolicClass]) -> SymbolicClass:
     return _sum(classes[idx] for idx in rootsys.FOCAL_INDICES)
 
 
-def symmetry_constraint(classes: dict[int, SymbolicClass], gens: dict[int, TSignedPerm]) -> list[LinForm]:
+def symmetry_constraint(classes: dict[int, SymbolicClass], gens: dict[int, SignedPerm]) -> list[LinForm]:
     """The focal part (the roots ``rootsys.FOCAL_INDICES``) must be a symmetric function of the t_i.
 
     The stabilizer generators ``rootsys.STABILIZER_INDICES`` act on t by the
@@ -94,7 +91,7 @@ def symmetry_constraint(classes: dict[int, SymbolicClass], gens: dict[int, TSign
 
 
 def assemble_constraints(
-    classes: dict[int, SymbolicClass], gens: dict[int, TSignedPerm], include_symmetry: bool = True
+    classes: dict[int, SymbolicClass], gens: dict[int, SignedPerm], include_symmetry: bool = True
 ) -> list[LinForm]:
     """The constraint rows over the orbit classes of the generic class."""
     rows = [leaf_sphere_constraint()]

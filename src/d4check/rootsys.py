@@ -4,20 +4,20 @@ Everything is exact: a root is an integer 4-tuple in the orthonormal
 coordinates e_1..e_4 of the normal plane, so inner products, Cartan numbers
 and reflections are integers too; a quotient that is not exact raises
 ValueError.  Like every per-root table, the roots are keyed by their printed
-labels 1..12.  Group elements are signed permutations of four coordinates,
-and group enumeration is a breadth-first closure that returns each element
-with its shortlex-reduced word over the generator labels 1 < 2 < 3 < 9.
-The closure runs on one-line images: the element that sends e_i to s e_j
-is the int 4-tuple whose entry i is s (j + 1), so the identity is
-(1, 2, 3, 4) and a right multiplication is one gather.  No other code
-multiplies group elements: ``images`` applies the whole group to a vector
-in one sweep, and an orbit reads each image's word off the group.
+labels 1..12.  A group element is a signed permutation of four coordinates,
+written as one int 4-tuple: entry j is s (i + 1) when it sends e_i to s e_j,
+so the tuple is its matrix read row by row and the identity is (1, 2, 3, 4).
+Reading the table (0, v_1, .., v_4, -v_4, .., -v_1) of a 4-tuple v at the
+four entries of w gives w v; reading a group element's table there gives a
+product.  Group enumeration is a breadth-first closure that returns each
+element with its shortlex-reduced word over the generator labels
+1 < 2 < 3 < 9; ``images`` applies the whole group to a vector in one sweep,
+and an orbit reads each image's word off the group.
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import NamedTuple
 
 #: Labels of the simple reflections, in the fixed generator order.
 SIMPLE_INDICES = (1, 2, 3, 9)
@@ -34,17 +34,14 @@ def inner(u: tuple, v: tuple) -> int:
     return sum(map(mul, u, v))
 
 
-class TSignedPerm(NamedTuple):
-    """A signed permutation of four coordinates.
+#: A signed permutation: entry j is s (i + 1) when it sends e_i to s e_j.
+SignedPerm = tuple[int, int, int, int]
 
-    ``perm[i] = j`` and ``signs[i] = s`` mean the i-th basis vector maps to
-    s times the j-th basis vector (0-indexed).  The Weyl group acts this way
-    on the normal-plane basis e_1..e_4 and, dually, on the variables t1..t4
-    (t_j -> signs[j] * t_perm[j]).
-    """
 
-    perm: tuple[int, int, int, int]
-    signs: tuple[int, int, int, int]
+def _table(v: tuple) -> tuple:
+    """Entry a is the entry |a| of v, 1-based, negated for a < 0: read at w's entries, it is w v."""
+    v0, v1, v2, v3 = v
+    return (0, v0, v1, v2, v3, -v3, -v2, -v1, -v0)
 
 
 # Positive roots by their printed labels 1..12; entries are (+-e_i +- e_j).
@@ -92,7 +89,7 @@ def simple_cartan_matrix(rs: dict[int, tuple]) -> CartanMatrix:
     return [[cartan_number(rs, i, j) for j in SIMPLE_INDICES] for i in SIMPLE_INDICES]
 
 
-def reflection(rs: dict[int, tuple], i: int) -> TSignedPerm:
+def reflection(rs: dict[int, tuple], i: int) -> SignedPerm:
     """The reflection in the hyperplane normal to the positive root labelled i.
 
     It is read off the integer vectors norm * s(e_k) = norm * e_k - 2 alpha_k alpha,
@@ -102,81 +99,55 @@ def reflection(rs: dict[int, tuple], i: int) -> TSignedPerm:
     if not any(alpha):
         raise ValueError(f"root {i} is zero")
     norm = inner(alpha, alpha)
-    perm, signs = [0] * 4, [0] * 4
+    code = [0] * 4
     for k in range(4):
         image = [-2 * alpha[k] * a for a in alpha]
         image[k] += norm
         nonzero = [t for t, x in enumerate(image) if x]
         if len(nonzero) != 1 or abs(image[nonzero[0]]) != norm:
             raise ValueError(f"reflection {i} is not a signed permutation")
-        perm[k] = nonzero[0]
-        signs[k] = image[perm[k]] // norm
-    return TSignedPerm(tuple(perm), tuple(signs))
+        j = nonzero[0]
+        code[j] = image[j] // norm * (k + 1)
+    return tuple(code)
 
 
-def simple_generators(rs: dict[int, tuple]) -> dict[int, TSignedPerm]:
+def simple_generators(rs: dict[int, tuple]) -> dict[int, SignedPerm]:
     return {i: reflection(rs, i) for i in SIMPLE_INDICES}
 
 
-def enumerate_group(gens: dict[int, TSignedPerm]) -> dict[TSignedPerm, tuple[int, ...]]:
+def enumerate_group(gens: dict[int, SignedPerm]) -> dict[SignedPerm, tuple[int, ...]]:
     """Breadth-first closure: each element with its shortlex-least word over the labels.
 
     Labels are tried in increasing order, so the first word found for an
     element is the shortlex-least one, and the dict is in shortlex order of
     the words.  The word (l_1, ..., l_n) names the product g_1 ... g_n, whose
-    rightmost generator acts first.  The closure keeps one-line images: entry
-    i of w is s (j + 1) when w sends e_i to s e_j.  Then w g for
-    g = ((p_i), (s_i)) has entry i equal to s_i w[p_i], one gather with no
-    call, and each element becomes a ``TSignedPerm`` once, at the end, read
-    off its entries by comparison and built by ``tuple.__new__``.  The
-    encoding is faithful for signs +-1, which is all ``reflection`` builds.
-    Raises ValueError past 2^4 * 4! = 384 elements, which a sign of 2
-    reaches; a sign of 0 closes after two elements.
+    rightmost generator acts first.  Row j of w g is row |w[j]| of g, negated
+    for w[j] < 0, so w g is g's table read at w's entries.
     """
-    labelled = [(label, *g.perm, *g.signs) for label, g in sorted(gens.items())]
+    tables = [(label, _table(g)) for label, g in sorted(gens.items())]
     words = {(1, 2, 3, 4): ()}
     frontier = list(words)
     while frontier:
         nxt = []
-        for x in frontier:
-            word = words[x]
-            for label, p0, p1, p2, p3, s0, s1, s2, s3 in labelled:
-                h = (s0 * x[p0], s1 * x[p1], s2 * x[p2], s3 * x[p3])
+        for w in frontier:
+            word = words[w]
+            a, b, c, d = w
+            for label, t in tables:
+                h = (t[a], t[b], t[c], t[d])
                 if h not in words:
                     words[h] = word + (label,)
                     nxt.append(h)
-        if len(words) > 384:
-            raise ValueError("the generators give more than 2^4 * 4! = 384 signed permutations")
         frontier = nxt
-    new = tuple.__new__
-    return {
-        new(TSignedPerm, (
-            (a - 1 if a > 0 else -a - 1, b - 1 if b > 0 else -b - 1,
-             c - 1 if c > 0 else -c - 1, d - 1 if d > 0 else -d - 1),
-            (1 if a > 0 else -1, 1 if b > 0 else -1, 1 if c > 0 else -1, 1 if d > 0 else -1),
-        )): word
-        for (a, b, c, d), word in words.items()
-    }
+    return words
 
 
 def images(group, v: tuple) -> list[tuple]:
-    """The image of v under each signed permutation of ``group``, in its order.
-
-    Element w sends entry i of v to ``signs[i] * v[i]`` at ``perm[i]``.
-    """
-    v0, v1, v2, v3 = v
-    out = []
-    for (p0, p1, p2, p3), (s0, s1, s2, s3) in group:
-        image = [0, 0, 0, 0]
-        image[p0] = s0 * v0
-        image[p1] = s1 * v1
-        image[p2] = s2 * v2
-        image[p3] = s3 * v3
-        out.append(tuple(image))
-    return out
+    """The image of v under each signed permutation of ``group``, in its order: v's table read at its entries."""
+    t = _table(v)
+    return [(t[a], t[b], t[c], t[d]) for a, b, c, d in group]
 
 
-def orbit(group: dict[TSignedPerm, tuple[int, ...]], v: tuple) -> dict[tuple, tuple[int, ...]]:
+def orbit(group: dict[SignedPerm, tuple[int, ...]], v: tuple) -> dict[tuple, tuple[int, ...]]:
     """Each image of v under ``group`` with the shortlex-least word that carries v there.
 
     ``group`` is the dict of ``enumerate_group``, already in shortlex order,

@@ -1,21 +1,32 @@
 """Test-side reference action and products of signed permutations.
 
-``d4check`` multiplies group elements only inside ``rootsys.enumerate_group``
-and applies them to a vector only in ``rootsys.images``; these plain
-definitions are what the tests compare both, and the words the closure
-returns, against.  ``ALL_SIGNED_PERMS`` lists every signed permutation, for
-tests that run a kernel on each, and ``WORD_SETS`` draws word sets whose
+``d4check`` writes a signed permutation as one int 4-tuple, its matrix read
+row by row; this module keeps the other encoding, a ``(perm, signs)`` pair,
+with plain definitions of the action, the product and the words, and
+``code(w)`` converts a pair to ``d4check``'s tuple.  So the oracle shares no
+type with ``rootsys.enumerate_group``, ``rootsys.images`` and the actions
+that the tests compare against it.  ``ALL_SIGNED_PERMS`` lists every signed
+permutation, for tests that run a kernel on each, and ``BY_CODE`` reads each
+of ``d4check``'s tuples back as a pair.  ``WORD_SETS`` draws word sets whose
 tails need not be words of the set.  ``reflection`` reads a reflection as a
 matrix with remainders and then as columns (``signed_perm``); the tests
 compare ``rootsys.reflection``, which reads it in one pass, against it.
 """
 
 import itertools
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from hypothesis import strategies as st
 
-from d4check.rootsys import TSignedPerm, inner
+from d4check.rootsys import inner
+
+
+class TSignedPerm(NamedTuple):
+    """``perm[i] = j`` and ``signs[i] = s``: the i-th basis vector maps to s times the j-th (0-indexed)."""
+
+    perm: tuple[int, int, int, int]
+    signs: tuple[int, int, int, int]
+
 
 IDENTITY = TSignedPerm((0, 1, 2, 3), (1, 1, 1, 1))
 
@@ -25,6 +36,18 @@ ALL_SIGNED_PERMS = [
     for perm in itertools.permutations(range(4))
     for signs in itertools.product((1, -1), repeat=4)
 ]
+
+
+def code(w: TSignedPerm) -> tuple[int, int, int, int]:
+    """w as ``d4check`` writes it: entry ``perm[i]`` is ``signs[i] * (i + 1)``, its matrix read row by row."""
+    out = [0] * 4
+    for i in range(4):
+        out[w.perm[i]] = w.signs[i] * (i + 1)
+    return tuple(out)
+
+
+#: Each signed permutation by its ``code``.
+BY_CODE = {code(w): w for w in ALL_SIGNED_PERMS}
 
 
 #: Words over the simple labels, keyed by root label; a tail need not be a word of the set.

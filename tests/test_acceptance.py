@@ -12,7 +12,7 @@ from d4check import cohomring as ch
 from d4check import obstruct, pontsolve as ps, rootsys, vect4
 from d4check.cli import main as cli_main
 from d4check.rootsys import SIMPLE_INDICES, build_d4
-from signed_perms import apply
+from signed_perms import BY_CODE, apply
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +46,7 @@ def test_criterion_01_group_orders(rs, gens):
     full = rootsys.enumerate_group(gens)
     b = (1, 1, 1, 1)
     # the stabilizer of b is the subgroup generated by 1, 2 and 3: the words avoiding 9
-    fixers = [w for w in full if apply(w, b) == b]
+    fixers = [w for w in full if apply(BY_CODE[w], b) == b]
     report("1. group order 192 / stabilizer order 24",
            len(full) == 192 and len(fixers) == 24 and fixers == [w for w, word in full.items() if 9 not in word])
 
@@ -68,7 +68,7 @@ def test_criterion_04_t_actions_and_duality():
     actions_ok = run.gens == obstruct.EXPECTED_T_ACTIONS
     # omega_from_t carries each reflection's action on t1..t4 to (3-3)
     intertwine_ok = all(
-        ch.omega_from_t(apply(g, e)) == ch.cohomology_action_omega(run.cartan, i, ch.omega_from_t(e))
+        ch.omega_from_t(apply(BY_CODE[g], e)) == ch.cohomology_action_omega(run.cartan, i, ch.omega_from_t(e))
         for i, g in run.gens.items()
         for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     )

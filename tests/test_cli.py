@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -198,6 +199,17 @@ def test_help_exits_0(capsys, command, flag):
     assert captured.out.startswith(f"usage: d4check {command or ''}".rstrip() + " [-h]")
     for option in ["-h, --help", *COMMANDS.get(command, ("", {}, ""))[1]]:
         assert f"  {option}" in captured.out
+
+
+def test_verify_help_lists_each_check_id_whole(capsys, monkeypatch):
+    # argparse wraps help text at hyphens, so the check ids are listed one per line
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(f"  {check_id}" in lines for check_id in CHECK_IDS)
+    assert [line for line in lines if re.search(r"[a-z]-$", line)] == []
 
 
 #: Tokens of the differential test: every command, every long option and each

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from d4check import cohomring as ch
 from d4check import obstruct
-from d4check.cohomring import TSignedPerm
 from d4check.rootsys import SIMPLE_INDICES, build_d4, cartan_number, inner, simple_cartan_matrix, simple_generators
-from signed_perms import ALL_SIGNED_PERMS, IDENTITY, apply, compose
+from signed_perms import ALL_SIGNED_PERMS, BY_CODE, IDENTITY, apply, code, compose
 
 
 @pytest.fixture(scope="module")
@@ -156,12 +155,7 @@ def test_omega_from_t_reads_the_table_at_call_time(t_of_omega, c):
     assert _is_int_tuple(got)
 
 
-signed_permutation = st.tuples(
-    st.permutations(range(4)).map(tuple), st.tuples(*[st.sampled_from((1, -1))] * 4)
-).map(lambda ps: TSignedPerm(*ps))
-
-
-@given(signed_permutation, st.dictionaries(st.tuples(*[st.integers(0, 6)] * 4), integer.filter(bool)))
+@given(st.sampled_from(ALL_SIGNED_PERMS), st.dictionaries(st.tuples(*[st.integers(0, 6)] * 4), integer.filter(bool)))
 def test_act_on_polynomial_sign_is_a_product_of_powers(sp, p):
     # t_j -> signs[j] t_perm[j] sends t^e to prod_j signs[j]^e_j times the monomial with e_j at perm[j]
     expected = {}
@@ -171,7 +165,7 @@ def test_act_on_polynomial_sign_is_a_product_of_powers(sp, p):
             image[sp.perm[j]] = expo[j]
             sign *= sp.signs[j] ** expo[j]
         expected[tuple(image)] = sign * coeff
-    assert ch.act_on_polynomial(sp, p) == expected
+    assert ch.act_on_polynomial(code(sp), p) == expected
 
 
 # -- induced actions --------------------------------------------------------
@@ -204,10 +198,11 @@ def test_actions_are_involutions(cartan):
 
 
 def test_t_actions_match_table(rs, acts):
-    assert acts[1] == TSignedPerm((1, 0, 2, 3), (1, 1, 1, 1))
-    assert acts[2] == TSignedPerm((0, 2, 1, 3), (1, 1, 1, 1))
-    assert acts[3] == TSignedPerm((0, 1, 3, 2), (1, 1, 1, 1))
-    assert acts[9] == TSignedPerm((0, 1, 3, 2), (1, 1, -1, -1))
+    # the transpositions of t1 t2, t2 t3 and t3 t4, and t3 -> -t4, t4 -> -t3
+    assert BY_CODE[acts[1]] == ((1, 0, 2, 3), (1, 1, 1, 1))
+    assert BY_CODE[acts[2]] == ((0, 2, 1, 3), (1, 1, 1, 1))
+    assert BY_CODE[acts[3]] == ((0, 1, 3, 2), (1, 1, 1, 1))
+    assert BY_CODE[acts[9]] == ((0, 1, 3, 2), (1, 1, -1, -1))
 
 
 @pytest.mark.parametrize("rows", ["solved", "printed"])
@@ -219,7 +214,7 @@ def test_reflections_intertwine_with_the_omega_action(monkeypatch, cartan, acts,
         monkeypatch.setattr(ch, "T_OF_OMEGA", printed)
     holds = {
         i: all(
-            ch.omega_from_t(apply(acts[i], e)) == ch.cohomology_action_omega(cartan, i, ch.omega_from_t(e))
+            ch.omega_from_t(apply(BY_CODE[acts[i]], e)) == ch.cohomology_action_omega(cartan, i, ch.omega_from_t(e))
             for e in map(omega_unit, range(4))
         )
         for i in SIMPLE_INDICES
@@ -239,10 +234,11 @@ def test_duality_exhaustive(cartan):
 
 
 def test_braid_relations_on_t(acts):
-    s1s2 = compose(acts[1], acts[2])
+    s1, s2, s9 = BY_CODE[acts[1]], BY_CODE[acts[2]], BY_CODE[acts[9]]
+    s1s2 = compose(s1, s2)
     cubed = compose(compose(s1s2, s1s2), s1s2)
     assert cubed == IDENTITY
-    s1s9 = compose(acts[1], acts[9])
+    s1s9 = compose(s1, s9)
     assert compose(s1s9, s1s9) == IDENTITY
 
 
@@ -333,7 +329,7 @@ def test_act_on_polynomial_places_each_exponent(p):
             tuple(map(abs, apply(sp, expo))): math.prod(map(pow, sp.signs, expo)) * coeff
             for expo, coeff in p.items()
         }
-        assert ch.act_on_polynomial(sp, p) == expected
+        assert ch.act_on_polynomial(code(sp), p) == expected
 
 
 def test_polynomial_action_is_multiplicative(acts):
@@ -400,9 +396,10 @@ def test_theta_expansions_match_sympy():
 def test_act_on_polynomial_matches_sympy_subs(acts, p):
     sympy = pytest.importorskip("sympy")
     t = sympy.symbols("t1:5")
-    for sp in acts.values():
+    for g in acts.values():
         # t_j -> signs[j] * t_perm[j], all four at once
+        sp = BY_CODE[g]
         images = {t[j]: s * t[k] for j, (k, s) in enumerate(zip(sp.perm, sp.signs))}
         expected = sympy.expand(_to_expr(sympy, t, p).subs(images, simultaneous=True))
-        assert _to_expr(sympy, t, ch.act_on_polynomial(sp, p)) == expected
+        assert _to_expr(sympy, t, ch.act_on_polynomial(g, p)) == expected
 

@@ -191,11 +191,11 @@ def _bond_dropped(monkeypatch):
     monkeypatch.setattr(rootsys, "simple_cartan_matrix", dropped)
 
 
-def _generator(label, perm, signs):
-    """Plant simple reflection ``label`` as the signed permutation ``(perm, signs)``."""
+def _generator(label, code):
+    """Plant simple reflection ``label`` as the int 4-tuple ``code``: entry j is s (i + 1) when e_i goes to s e_j."""
     def plant(monkeypatch):
         def planted(rs, _build=rootsys.simple_generators):
-            return {**_build(rs), label: rootsys.TSignedPerm(perm, signs)}
+            return {**_build(rs), label: code}
 
         monkeypatch.setattr(rootsys, "simple_generators", planted)
 
@@ -282,7 +282,7 @@ PLANTED_FAULTS = {
     # is no simple system, so the shortest words miss half of the fixers:
     # 24 elements fix the point, 12 have words in 1, 2, 3
     "generator-9-transposition": (
-        _generator(9, (3, 1, 2, 0), (1, 1, 1, 1)),
+        _generator(9, (4, 2, 3, 1)),
         "stabilizer-order",
         "24 fix (1,1,1,1), 12 have words in 1, 2, 3, the same: False",
     ),
@@ -335,18 +335,24 @@ PLANTED_FAULTS = {
         "t-actions",
         "intertwine (3-3): {1: False, 2: True, 3: True, 9: True}",
     ),
-    # signs other than +-1 close to no finite group; the closure stops at 2^4 * 4! elements
-    "generator-sign-two": (
-        _generator(1, (1, 0, 2, 3), (2, 1, 1, 1)),
+    # a generator that sends two basis vectors to the same line is no signed permutation
+    "generator-repeated-entry": (
+        _generator(1, (2, 2, 3, 4)),
         "weyl-order",
-        "more than 2^4 * 4! = 384 signed permutations",
+        "gens: generator 1 is not a signed permutation",
+    ),
+    # the gather table with +v_4 where -v_4 belongs: products and images read a wrong sign
+    "gather-table-sign": (
+        lambda mp: mp.setattr(rootsys, "_table", lambda v: (0, *v, v[3], -v[2], -v[1], -v[0])),
+        "weyl-order",
+        "enumerated 384 elements",
     ),
     # Lemma 5: the sign flips of generator 9 are what keep e1 from being fully invariant
     "unsigned-substitution": (
         lambda mp: mp.setattr(
             cohomring,
             "act_on_polynomial",
-            lambda sp, p, act=cohomring.act_on_polynomial: act(rootsys.TSignedPerm(sp.perm, (1, 1, 1, 1)), p),
+            lambda sp, p, act=cohomring.act_on_polynomial: act(tuple(map(abs, sp)), p),
         ),
         "invariance-suite",
         "",
@@ -372,12 +378,12 @@ PLANTED_FAULTS = {
     ),
     # generator 9 with one sign flip negates e_4 = t1 t2 t3 t4; the squares of
     # theta_i and the stabilizer do not see it, and e_1 still moves
-    "generator-9-one-sign-invariance": (_generator(9, (0, 1, 3, 2), (1, 1, 1, -1)), "invariance-suite", ""),
+    "generator-9-one-sign-invariance": (_generator(9, (1, 2, -4, 3)), "invariance-suite", ""),
     # a stabilizer generator that negates the two coordinates it swaps (the
     # reflection in e_a + e_b) moves e_1, e_2 and e_3, but neither e_4 nor any theta_i
-    "stabilizer-generator-1-signed-invariance": (_generator(1, (1, 0, 2, 3), (-1, -1, 1, 1)), "invariance-suite", ""),
-    "stabilizer-generator-2-signed-invariance": (_generator(2, (0, 2, 1, 3), (1, -1, -1, 1)), "invariance-suite", ""),
-    "stabilizer-generator-3-signed-invariance": (_generator(3, (0, 1, 3, 2), (1, 1, -1, -1)), "invariance-suite", ""),
+    "stabilizer-generator-1-signed-invariance": (_generator(1, (-2, -1, 3, 4)), "invariance-suite", ""),
+    "stabilizer-generator-2-signed-invariance": (_generator(2, (1, -3, -2, 4)), "invariance-suite", ""),
+    "stabilizer-generator-3-signed-invariance": (_generator(3, (1, 2, -4, -3)), "invariance-suite", ""),
     # e_1 = t1 + t3 is no symmetric function, and generator 9 still moves it
     "e1-not-symmetric-invariance": (
         _polynomial("elementary_symmetric", 1, {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1}),
@@ -540,6 +546,17 @@ def test_planted_fault_fails_without_symmetry(monkeypatch, fault):
     assert check_id in [c.id for c in rep.checks if c.status == "fail"]
 
 
+def test_simple_indices_are_read_through_rootsys(monkeypatch):
+    # a reordered simple system reaches every reader at call time: the pairing matrix is
+    # taken over the same order as the Cartan matrix, and b_9 is the first basis class
+    monkeypatch.setattr(rootsys, "SIMPLE_INDICES", (9, 1, 2, 3))
+    details = {c.id: c.detail for c in obstruct.theorem_pipeline().checks}
+    matrix = "[[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]]"
+    assert details["cartan-matrix"] == f"computed {matrix}"
+    assert details["kronecker-submatrix"] == f"submatrix {matrix}"
+    assert cohomring.unit(9) == (1, 0, 0, 0)
+
+
 @pytest.mark.parametrize("rule", [(1, -1, 4), (2, -1, 2), (2, -1, 8), (2, -2, 4)])
 def test_wrong_rule_fails_every_check_that_reads_it(monkeypatch, rule):
     # (2, 1, 4) is no such fault: realizable pairs have b even, so it is the same congruence
@@ -658,6 +675,7 @@ INTEGER_KERNELS = (
     pontsolve.apply_pullback,
     pontsolve.symmetry_constraint,
     pontsolve._symbol_form,
+    obstruct._reflections_on_t,
     obstruct._pairing_duality,
 )
 

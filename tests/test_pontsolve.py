@@ -8,7 +8,7 @@ from d4check import cohomring as ch
 from d4check import obstruct
 from d4check import pontsolve as ps
 from d4check.rootsys import WORD_TABLE, build_d4, enumerate_group, simple_cartan_matrix, simple_generators
-from signed_perms import ALL_SIGNED_PERMS, WORD_SETS, apply, compose, element_from_word
+from signed_perms import ALL_SIGNED_PERMS, BY_CODE, WORD_SETS, apply, code, compose, element_from_word
 
 #: each root's word as printed; root 1 has the empty word
 WORDS = {1: (), **WORD_TABLE}
@@ -64,11 +64,16 @@ def test_focal_table(classes):
     assert all(ps.check_focal_table(classes).values())
 
 
+def _word_element(word, acts):
+    """The code of the word's product, multiplied by the reference."""
+    return code(element_from_word(word, {label: BY_CODE[g] for label, g in acts.items()}))
+
+
 def test_classes_are_pullbacks_by_the_word_elements(acts, classes):
     # the letter-by-letter pullback equals one pullback by the word's product
     assert list(classes) == list(range(1, 13))
     for idx, word in WORDS.items():
-        assert classes[idx] == ps.apply_pullback(element_from_word(word, acts), ps.generic_class())
+        assert classes[idx] == ps.apply_pullback(_word_element(word, acts), ps.generic_class())
 
 
 @settings(max_examples=50, deadline=None)
@@ -79,7 +84,7 @@ def test_orbit_classes_match_the_letter_by_letter_pullback(acts, words):
     classes = ps.orbit_classes(acts, words)
     assert list(classes) == list(words)
     for idx, word in words.items():
-        assert classes[idx] == ps.apply_pullback(element_from_word(word, acts), ps.generic_class())
+        assert classes[idx] == ps.apply_pullback(_word_element(word, acts), ps.generic_class())
 
 
 def test_run_classes_read_the_group_words(classes):
@@ -96,7 +101,7 @@ def test_pullback_places_each_form(cls):
     # the reference applies sp to each unknown's t-vector, the columns of the class
     assert len(set(ALL_SIGNED_PERMS)) == 384
     for sp in ALL_SIGNED_PERMS:
-        assert ps.apply_pullback(sp, cls) == tuple(zip(*[apply(sp, col) for col in zip(*cls)]))
+        assert ps.apply_pullback(code(sp), cls) == tuple(zip(*[apply(sp, col) for col in zip(*cls)]))
 
 
 def test_pullback_roundtrip(acts, classes):
@@ -120,7 +125,7 @@ def test_pullback_and_substitution_act_on_the_left(acts):
     p = ch.expand((1, ch.elementary_symmetric(2), ch.theta(1)))
     for a in acts.values():
         for b in group:
-            ab = compose(a, b)
+            ab = code(compose(BY_CODE[a], BY_CODE[b]))
             assert ps.apply_pullback(ab, generic) == ps.apply_pullback(a, ps.apply_pullback(b, generic))
             assert ch.act_on_polynomial(ab, p) == ch.act_on_polynomial(a, ch.act_on_polynomial(b, p))
 

@@ -1,17 +1,13 @@
 import itertools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from d4check import cohomring, obstruct, pontsolve, rootsys, vect4
 from d4check.obstruct import EXPECTED_CARTAN
-from d4check.rootsys import WORD_TABLE, TSignedPerm, build_d4, inner
-from signed_perms import ALL_SIGNED_PERMS, IDENTITY, WORD_SETS, apply, compose, element_from_word
+from d4check.rootsys import WORD_TABLE, build_d4, inner
+from signed_perms import ALL_SIGNED_PERMS, BY_CODE, IDENTITY, WORD_SETS, apply, code, compose, element_from_word
 from signed_perms import reflection as reference_reflection
 
 
@@ -23,6 +19,12 @@ def rs():
 @pytest.fixture(scope="module")
 def gens(rs):
     return rootsys.simple_generators(rs)
+
+
+@pytest.fixture(scope="module")
+def ref_gens(rs):
+    # the reference's own reflections, as (perm, signs) pairs
+    return {i: reference_reflection(rs, i) for i in rootsys.SIMPLE_INDICES}
 
 
 @pytest.fixture(scope="module")
@@ -64,20 +66,21 @@ def test_generator_actions(rs, gens):
     e2 = (0, 1, 0, 0)
     e3 = (0, 0, 1, 0)
     e4 = (0, 0, 0, 1)
-    assert apply(gens[1], e1) == e2 and apply(gens[1], e2) == e1
-    assert apply(gens[9], e3) == (0, 0, 0, -1) and apply(gens[9], e4) == (0, 0, -1, 0)
+    s1, s9 = BY_CODE[gens[1]], BY_CODE[gens[9]]
+    assert apply(s1, e1) == e2 and apply(s1, e2) == e1
+    assert apply(s9, e3) == (0, 0, 0, -1) and apply(s9, e4) == (0, 0, -1, 0)
 
 
 def test_reflections_are_involutions(rs):
     for i in rs:
-        s = rootsys.reflection(rs, i)
+        s = BY_CODE[rootsys.reflection(rs, i)]
         assert compose(s, s) == IDENTITY
 
 
 def test_apply_examples(rs, gens):
     a1 = rs[1]
-    assert apply(gens[2], a1) == rs[4]
-    w = compose(gens[9], gens[2])
+    assert apply(BY_CODE[gens[2]], a1) == rs[4]
+    w = compose(BY_CODE[gens[9]], BY_CODE[gens[2]])
     assert apply(w, a1) == rs[12]
     assert apply(IDENTITY, a1) == a1
 
@@ -92,7 +95,7 @@ def test_images_match_the_reference_action(v):
     # four distinct entries, so an image that reads one entry for another differs;
     # the certificate's own vectors (1,1,1,1) and root 1 repeat an entry
     v = tuple(v)
-    assert rootsys.images(ALL_SIGNED_PERMS, v) == [apply(w, v) for w in ALL_SIGNED_PERMS]
+    assert rootsys.images([code(w) for w in ALL_SIGNED_PERMS], v) == [apply(w, v) for w in ALL_SIGNED_PERMS]
     assert rootsys.images({}, v) == []
 
 
@@ -115,8 +118,9 @@ def test_along_words_steps_once_per_word_or_tail(words):
 
 def test_compose_is_the_action(group):
     v = (1, 2, 3, 4)
-    for g in group:
-        for h in group:
+    pairs = [BY_CODE[w] for w in group]
+    for g in pairs:
+        for h in pairs:
             assert apply(compose(g, h), v) == apply(g, apply(h, v))
 
 
@@ -132,9 +136,10 @@ def test_reflection_matches_the_reference_on_every_small_vector():
     outcomes = {}
     for alpha in itertools.product(range(-3, 4), repeat=4):
         got = _reflection_or_message(rootsys.reflection, alpha)
-        assert got == _reflection_or_message(reference_reflection, alpha), alpha
+        expected = _reflection_or_message(reference_reflection, alpha)
+        assert got == (expected if isinstance(expected, str) else code(expected)), alpha
         outcomes[type(got)] = outcomes.get(type(got), 0) + 1
-    assert outcomes == {TSignedPerm: 96, str: 2401 - 96}
+    assert outcomes == {tuple: 96, str: 2401 - 96}
 
 
 def test_named_sets_are_read_off_the_base_point(rs, gens):
@@ -143,21 +148,21 @@ def test_named_sets_are_read_off_the_base_point(rs, gens):
     point = rootsys.BASE_POINT
     assert rootsys.STABILIZER_INDICES == tuple(i for i in rootsys.SIMPLE_INDICES if inner(rs[i], point) == 0)
     assert list(rootsys.FOCAL_INDICES) == [i for i, root in rs.items() if inner(root, point) != 0]
-    assert all(apply(gens[i], point) == point for i in rootsys.STABILIZER_INDICES)
-    assert apply(gens[9], point) != point
+    assert all(apply(BY_CODE[gens[i]], point) == point for i in rootsys.STABILIZER_INDICES)
+    assert apply(BY_CODE[gens[9]], point) != point
 
 
 def test_stabilizer_subgroup(rs, gens):
     sub = rootsys.enumerate_group({i: gens[i] for i in (1, 2, 3)})
     assert len(sub) == 24
     b = (1, 1, 1, 1)
-    assert all(apply(w, b) == b for w in sub)
+    assert all(apply(BY_CODE[w], b) == b for w in sub)
 
 
 def test_stabilizer_is_exact(rs, gens, group):
     # nothing outside the order-24 subgroup fixes the chamber-edge point
     b = (1, 1, 1, 1)
-    fixers = [w for w in group if apply(w, b) == b]
+    fixers = [w for w in group if apply(BY_CODE[w], b) == b]
     assert len(fixers) == 24
 
 
@@ -169,13 +174,13 @@ def test_stabilizer_is_the_parabolic_subgroup(rs, group, point, order):
     # a point of the closed chamber is fixed exactly by the elements whose
     # reduced word uses only the simple reflections orthogonal to it
     letters = {i for i in rootsys.SIMPLE_INDICES if inner(rs[i], point) == 0}
-    fixers = [w for w in group if apply(w, point) == point]
+    fixers = [w for w in group if apply(BY_CODE[w], point) == point]
     assert len(fixers) == order
     assert fixers == [w for w, word in group.items() if set(word) <= letters]
 
 
 def test_empty_generator_set():
-    assert rootsys.enumerate_group({}) == {IDENTITY: ()}
+    assert rootsys.enumerate_group({}) == {(1, 2, 3, 4): ()}
 
 
 def _reference_closure(gens):
@@ -195,29 +200,25 @@ def _reference_closure(gens):
     return words
 
 
+D4_GENERATORS = {i: reference_reflection(build_d4(), i) for i in (1, 2, 3, 9)}
+
+
 # all 384 signed permutations of four coordinates, odd sign changes included
-SIGNED_PERMUTATIONS = [
-    TSignedPerm(perm, signs)
-    for perm in itertools.permutations(range(4))
-    for signs in itertools.product((1, -1), repeat=4)
-]
-D4_GENERATORS = rootsys.simple_generators(build_d4())
-
-
-@given(st.dictionaries(st.integers(1, 12), st.sampled_from(SIGNED_PERMUTATIONS), max_size=4))
+@given(st.dictionaries(st.integers(1, 12), st.sampled_from(ALL_SIGNED_PERMS), max_size=4))
 @example(D4_GENERATORS)
 @example({i: D4_GENERATORS[i] for i in (1, 2, 3)})
 def test_closure_matches_compose_reference(gens):
-    # same keys, same words, same order
-    assert list(rootsys.enumerate_group(gens).items()) == list(_reference_closure(gens).items())
+    # the same elements, read through code, with the same words in the same order
+    group = rootsys.enumerate_group({label: code(g) for label, g in gens.items()})
+    assert list(group.items()) == [(code(w), word) for w, word in _reference_closure(gens).items()]
 
 
 def test_closure_reaches_all_signed_permutations(gens):
     # the D4 reflections and the sign change of e_4 generate B4, all 2^4 * 4! elements
-    b4 = {**gens, 4: TSignedPerm((0, 1, 2, 3), (1, 1, 1, -1))}
+    b4 = {**gens, 4: (1, 2, 3, -4)}
     group = rootsys.enumerate_group(b4)
     assert len(group) == 384
-    assert set(group) == set(SIGNED_PERMUTATIONS)
+    assert set(group) == set(BY_CODE)
 
 
 def test_pipeline_builds_the_group_and_the_orbit_once(monkeypatch):
@@ -251,19 +252,6 @@ def test_pipeline_computes_only_the_simple_cartan_numbers(monkeypatch):
     assert len(calls) == 16
 
 
-def test_closure_stops_past_all_signed_permutations():
-    # a sign of 2 makes a new element at every step; the child process has its
-    # memory capped and a timeout, so an unbounded closure fails instead of hanging
-    code = (
-        "import resource; resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); "
-        "from d4check.rootsys import TSignedPerm, enumerate_group; "
-        "enumerate_group({1: TSignedPerm((0, 1, 2, 3), (2, 1, 1, 1))})"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(rootsys.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
-    assert proc.stderr.endswith("ValueError: the generators give more than 2^4 * 4! = 384 signed permutations\n")
-
-
 def test_orbit_of_first_root(rs, group):
     # the images are exactly the 24 roots +-alpha
     orb = rootsys.orbit(group, rs[1])
@@ -277,14 +265,14 @@ def test_orbit_of_identity(rs):
     assert rootsys.orbit(rootsys.enumerate_group({}), v) == {v: ()}
 
 
-def test_orbit_words_are_least_by_brute_force(rs, gens, group):
+def test_orbit_words_are_least_by_brute_force(rs, ref_gens, group):
     # each image's word is the least (length, word) over all 192 elements that
     # carry root 1 there, and that word's product does carry it there
     orb = rootsys.orbit(group, rs[1])
     for image, word in orb.items():
-        least = min((len(u), u) for w, u in group.items() if apply(w, rs[1]) == image)
+        least = min((len(u), u) for w, u in group.items() if apply(BY_CODE[w], rs[1]) == image)
         assert (len(word), word) == least
-        assert apply(element_from_word(word, gens), rs[1]) == image
+        assert apply(element_from_word(word, ref_gens), rs[1]) == image
 
 
 def test_word_table(rs, group):
@@ -293,25 +281,26 @@ def test_word_table(rs, group):
     assert {i: orb[a] for i, a in rs.items()} == {1: (), **WORD_TABLE}
 
 
-def test_words_replay_to_elements(rs, gens, group):
+def test_words_replay_to_elements(rs, ref_gens, group):
     for w, word in group.items():
-        assert element_from_word(word, gens) == w
+        assert code(element_from_word(word, ref_gens)) == w
 
 
 def test_even_sign_invariant(group):
-    assert all(math.prod(w.signs) == 1 for w in group)
+    assert all(math.prod(BY_CODE[w].signs) == 1 for w in group)
 
 
 def test_group_closure_and_inverses(group):
-    assert {compose(w, v) for w in group for v in group} == set(group)
-    for w in group:
-        assert any(compose(w, v) == IDENTITY for v in group)
+    pairs = {BY_CODE[w] for w in group}
+    assert {compose(w, v) for w in pairs for v in pairs} == pairs
+    for w in pairs:
+        assert any(compose(w, v) == IDENTITY for v in pairs)
 
 
 def test_roots_permuted_by_group(rs, group):
     full = set(rs.values()) | {tuple(-x for x in a) for a in rs.values()}
     for w in group:
-        assert {apply(w, a) for a in full} == full
+        assert {apply(BY_CODE[w], a) for a in full} == full
 
 
 # signed permutations are linear, so integer vectors check the same property
@@ -322,7 +311,7 @@ vectors = st.tuples(coordinate, coordinate, coordinate, coordinate)
 
 @given(vectors, vectors, st.integers(min_value=0, max_value=191))
 def test_group_acts_by_isometries(group, u, v, n):
-    w = list(group)[n]
+    w = BY_CODE[list(group)[n]]
     assert inner(apply(w, u), apply(w, v)) == inner(u, v)
 
 
