@@ -302,6 +302,8 @@ def _generator_pairs(run):
     # gcd 1: the rule maps Z^2 onto Z/mod, so the realizable pairs, its kernel,
     # have index mod, and two of them with |det| = mod span them
     ca, cb, mod = vect4.RULE
+    if mod <= 0:
+        raise ValueError(f"RULE {vect4.RULE}: the modulus {mod} is not positive")
     t, g = vect4.tau(), vect4.gamma()
     gcd, det = math.gcd(ca, cb, mod), abs(t[0] * g[1] - t[1] * g[0])
     off = (1, 0)  # a pair off the lattice

@@ -1,60 +1,52 @@
 """Symbolic solver for the first Pontryagin class of the base curvature bundle.
 
-A candidate class k1*t1 + k2*t2 + k3*t3 + k4*t4 is pushed around the root
-orbit by pullbacks along the words that the Weyl group gives the roots,
-then constrained three ways: triviality on the base leaf sphere, vanishing
-of the total tangent-bundle class, and symmetry of the focal-manifold part.
-Each constraint is a row of integer coefficients, a plain 4-tuple.  The
-cofactors of three of the rows give a vector that every row annihilates, so
-the solutions are exactly the line it spans, (1, 1, -1, -1).
+A candidate class k1*t1 + k2*t2 + k3*t3 + k4*t4 is pulled back along the
+words that the Weyl group gives the roots.  A pullback only permutes and
+negates coefficients, so each root's class is a signed-permutation code,
+which the printed tables are read against through a symbol tuple.  The
+classes are constrained three ways: triviality on the base leaf sphere,
+vanishing of the total tangent-bundle class, and symmetry of the
+focal-manifold part.  Each constraint is a row of integer coefficients, a
+plain 4-tuple.  The cofactors of three of the rows give a vector that every
+row annihilates, so the solutions are exactly the line it spans,
+(1, 1, -1, -1).
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, combinations
-from operator import neg, sub
+from operator import sub
 
 from . import rootsys
 from .cohomring import T_OF_OMEGA, euler_class_d, omega_from_t
-from .rootsys import CartanMatrix, SignedPerm, along_words, inner
+from .rootsys import CartanMatrix, SignedPerm, act, along_words, inner
 
 # Linear form over the unknowns (k1, k2, k3, k4); a constraint row is one.
 LinForm = tuple[int, int, int, int]
 
-# A t-basis class whose coefficients are linear forms in the unknowns:
-# entry i is the coefficient form of t_{i+1}.
-SymbolicClass = tuple[LinForm, LinForm, LinForm, LinForm]
+
+def _sum(codes) -> tuple[LinForm, LinForm, LinForm, LinForm]:
+    """The coefficient forms of t1..t4 in the sum of the classes: code c adds +-k_|c[j]| to form j."""
+    total = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    for c in codes:
+        for form, a in zip(total, c):
+            if a > 0:
+                form[a - 1] += 1
+            else:
+                form[-a - 1] -= 1
+    return tuple(map(tuple, total))
 
 
-def generic_class() -> SymbolicClass:
-    """k1*t1 + k2*t2 + k3*t3 + k4*t4 with independent unknowns."""
-    return ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+def orbit_classes(gens: dict[int, SignedPerm], words: dict[int, tuple[int, ...]]) -> dict[int, SignedPerm]:
+    """Each root's class, k1*t1 + .. + k4*t4 pulled back along its word: its word's element.
 
-
-def _sum(classes) -> SymbolicClass:
-    """The sum of symbolic classes, one coefficient form at a time."""
-    return tuple(tuple(map(sum, zip(*forms))) for forms in zip(*classes))
-
-
-def apply_pullback(sp: SignedPerm, cls: SymbolicClass) -> SymbolicClass:
-    """``sp`` applied to the t-vector of each unknown: the columns of ``cls``.
-
-    Coefficient form j of the image is form |sp[j]| of ``cls``, 1-based, negated where sp[j] < 0.
+    In class c, t_{j+1} has coefficient k_|c[j]|, negated where c[j] < 0.
+    ``gens`` act on t1..t4 as on e_1..e_4, and ``words[i]`` carries the
+    first root to root i (``rootsys.orbit``); a word's class is its first
+    letter acting on its tail's class.
     """
-    return tuple([cls[a - 1] if a > 0 else tuple(map(neg, cls[-a - 1])) for a in sp])
-
-
-def orbit_classes(gens: dict[int, SignedPerm], words: dict[int, tuple[int, ...]]) -> dict[int, SymbolicClass]:
-    """The symbolic class of each positive root: the generic class pulled back along its word.
-
-    ``gens`` are the simple reflections, acting on t1..t4 as on e_1..e_4,
-    and ``words[i]`` carries the first root to root i (``rootsys.orbit``).
-    The pullback is a left action, so the word's element, whose rightmost
-    generator acts first, pulls back one letter at a time from the right:
-    a word's class is its first letter's pullback of its tail's class.
-    """
-    return along_words(words, generic_class(), lambda label, cls: apply_pullback(gens[label], cls))
+    return along_words(words, (1, 2, 3, 4), lambda label, c: act(gens[label], c))
 
 
 def leaf_sphere_constraint() -> LinForm:
@@ -65,35 +57,40 @@ def leaf_sphere_constraint() -> LinForm:
     return tuple(T_OF_OMEGA[i][0] for i in range(4))
 
 
-def sum_zero_constraint(classes: dict[int, SymbolicClass]) -> list[LinForm]:
+def sum_zero_constraint(classes: dict[int, SignedPerm]) -> list[LinForm]:
     """Vanishing of the total class: each t coefficient of the sum is zero."""
     return list(_sum(classes.values()))
 
 
-def focal_sum(classes: dict[int, SymbolicClass]) -> SymbolicClass:
-    return _sum(classes[idx] for idx in rootsys.FOCAL_INDICES)
+def focal_sum(classes: dict[int, SignedPerm]) -> tuple[LinForm, LinForm, LinForm, LinForm]:
+    """The coefficient forms of the sum of the focal classes; ValueError names a focal label that is no root."""
+    for idx in rootsys.FOCAL_INDICES:
+        if idx not in classes:
+            raise ValueError(f"focal label {idx} is no root")
+    return _sum(map(classes.__getitem__, rootsys.FOCAL_INDICES))
 
 
-def symmetry_constraint(classes: dict[int, SymbolicClass], gens: dict[int, SignedPerm]) -> list[LinForm]:
+def symmetry_constraint(classes: dict[int, SignedPerm], gens: dict[int, SignedPerm]) -> list[LinForm]:
     """The focal part (the roots ``rootsys.FOCAL_INDICES``) must be a symmetric function of the t_i.
 
     The stabilizer generators ``rootsys.STABILIZER_INDICES`` act on t by the
     transpositions of adjacent variables, which generate the full symmetric
-    group, so invariance under them suffices.  Four rows per
-    generator, one per t coefficient of image minus focal sum.
+    group, so invariance under them suffices.  A generator acts on each
+    unknown's t-vector, a column of the focal sum.  Four rows per generator,
+    one per t coefficient of image minus focal sum.
     """
     total = focal_sum(classes)
     return [
         tuple(map(sub, image, form))
         for g in rootsys.STABILIZER_INDICES
-        for image, form in zip(apply_pullback(gens[g], total), total)
+        for image, form in zip(zip(*[act(gens[g], col) for col in zip(*total)]), total)
     ]
 
 
 def assemble_constraints(
-    classes: dict[int, SymbolicClass], gens: dict[int, SignedPerm], include_symmetry: bool = True
+    classes: dict[int, SignedPerm], gens: dict[int, SignedPerm], include_symmetry: bool = True
 ) -> list[LinForm]:
-    """The constraint rows over the orbit classes of the generic class."""
+    """The constraint rows over the orbit classes."""
     rows = [leaf_sphere_constraint()]
     rows += sum_zero_constraint(classes)
     if include_symmetry:
@@ -163,66 +160,42 @@ TABLE_FOCAL = {
     12: ("k", "-k", "-k4", "-k"),
 }
 
-def _substitute(form: LinForm, k3_is_minus_k: bool) -> tuple[int, int, int]:
-    """Collapse (k1, k2, k3, k4) to coordinates over (k, k3, k4) with k1=k2=k.
-
-    With ``k3_is_minus_k`` the k3 slot is folded into k and reported as zero.
-    """
-    k = form[0] + form[1]
-    k3 = form[2]
-    k4 = form[3]
-    if k3_is_minus_k:
-        k, k3 = k - k3, 0
-    return (k, k3, k4)
+#: The symbol of each code entry a, indexed like ``rootsys._table``: k_|a|,
+#: negated for a < 0, once k1 = k2 = k, and in the focal table k3 = -k too.
+_AFTER_LEAF_SYMBOLS = ("", "k", "k", "k3", "k4", "-k4", "-k3", "-k", "-k")
+_FOCAL_SYMBOLS = ("", "k", "k", "-k", "k4", "-k4", "k", "-k", "-k")
 
 
-#: The unit form over (k1, k2, k3, k4) of each unsigned table symbol.
-_UNIT_FORMS = {"k": (1, 0, 0, 0), "k3": (0, 0, 1, 0), "k4": (0, 0, 0, 1)}
+def _match_table(table: dict, rows: range | tuple, classes: dict[int, SignedPerm], symbols: tuple) -> dict:
+    """Per table row: is the class, read through ``symbols``, the printed row?
 
-
-def _symbol_form(sym: str) -> LinForm:
-    """A table symbol, exactly -?(k|k3|k4), as a form over (k1, k2, k3, k4); "k" stands for k1.
-
-    Raises ValueError naming any other symbol, such as "--k".
-    """
-    form = _UNIT_FORMS.get(sym.removeprefix("-"))
-    if form is None:
-        raise ValueError(f"unknown table symbol {sym!r}")
-    return tuple(map(neg, form)) if sym.startswith("-") else form
-
-
-def _match_table(table: dict, rows: range | tuple, classes: dict[int, SymbolicClass], k3_is_minus_k: bool) -> dict:
-    """Per table row: do the class and the row agree over the reduced unknowns?
-
-    Raises ValueError unless the table has exactly the rows ``rows``.
+    Raises ValueError unless the table has exactly the rows ``rows``, and
+    names the first symbol, in row order, that ``symbols`` does not print.
     """
     labels = list(rows)
     if sorted(table) != labels:
         span = f"{labels[0]}..{labels[-1]}" if labels and labels == list(range(labels[0], labels[-1] + 1)) else labels
         raise ValueError(f"table rows {sorted(table)}, expected {span}")
-    # each distinct symbol once, in row order, so the first misspelt one is named
-    symbols = dict.fromkeys(chain.from_iterable(map(table.__getitem__, rows)))
-    reduced = {s: _substitute(_symbol_form(s), k3_is_minus_k) for s in symbols}
-    return {
-        idx: [_substitute(f, k3_is_minus_k) for f in classes[idx]] == list(map(reduced.__getitem__, table[idx]))
-        for idx in rows
-    }
+    known = symbols[1:]
+    for sym in chain.from_iterable(map(table.__getitem__, rows)):
+        if sym not in known:
+            raise ValueError(f"unknown table symbol {sym!r}")
+    return {idx: tuple(map(symbols.__getitem__, classes[idx])) == table[idx] for idx in rows}
 
 
-def check_orbit_table(classes: dict[int, SymbolicClass]) -> dict[int, bool]:
+def check_orbit_table(classes: dict[int, SignedPerm]) -> dict[int, bool]:
     """Match all twelve classes against the after-leaf-constraint table."""
-    return _match_table(TABLE_AFTER_LEAF, range(1, 13), classes, False)
+    return _match_table(TABLE_AFTER_LEAF, range(1, 13), classes, _AFTER_LEAF_SYMBOLS)
 
 
-def check_focal_table(classes: dict[int, SymbolicClass]) -> dict[int, bool]:
+def check_focal_table(classes: dict[int, SignedPerm]) -> dict[int, bool]:
     """Match the six focal classes against the table with k3 eliminated."""
-    return _match_table(TABLE_FOCAL, rootsys.FOCAL_INDICES, classes, True)
+    return _match_table(TABLE_FOCAL, rootsys.FOCAL_INDICES, classes, _FOCAL_SYMBOLS)
 
 
-def focal_sum_reduced(classes: dict[int, SymbolicClass]) -> list[tuple[int, int, int]]:
+def focal_sum_reduced(classes: dict[int, SignedPerm]) -> list[tuple[int, int, int]]:
     """Focal sum over the reduced unknowns (k, k3=-k folded, k4)."""
-    total = focal_sum(classes)
-    return [_substitute(f, True) for f in total]
+    return [(k1 + k2 - k3, 0, k4) for k1, k2, k3, k4 in focal_sum(classes)]
 
 
 # ---------------------------------------------------------------------------

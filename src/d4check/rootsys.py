@@ -44,6 +44,13 @@ def _table(v: tuple) -> tuple:
     return (0, v0, v1, v2, v3, -v3, -v2, -v1, -v0)
 
 
+def act(w: SignedPerm, v: tuple) -> tuple:
+    """w v, v's table read at w's entries; ``enumerate_group`` and ``images`` inline it for speed."""
+    t = _table(v)
+    a, b, c, d = w
+    return (t[a], t[b], t[c], t[d])
+
+
 # Positive roots by their printed labels 1..12; entries are (+-e_i +- e_j).
 _POSITIVE_ROOT_COORDS = {
     1: (1, -1, 0, 0),
@@ -122,7 +129,7 @@ def enumerate_group(gens: dict[int, SignedPerm]) -> dict[SignedPerm, tuple[int, 
     element is the shortlex-least one, and the dict is in shortlex order of
     the words.  The word (l_1, ..., l_n) names the product g_1 ... g_n, whose
     rightmost generator acts first.  Row j of w g is row |w[j]| of g, negated
-    for w[j] < 0, so w g is g's table read at w's entries.
+    for w[j] < 0, so w g is g's table read at w's entries (``act``).
     """
     tables = [(label, _table(g)) for label, g in sorted(gens.items())]
     words = {(1, 2, 3, 4): ()}
@@ -142,7 +149,7 @@ def enumerate_group(gens: dict[int, SignedPerm]) -> dict[SignedPerm, tuple[int, 
 
 
 def images(group, v: tuple) -> list[tuple]:
-    """The image of v under each signed permutation of ``group``, in its order: v's table read at its entries."""
+    """The image of v under each signed permutation of ``group``, in its order: ``act`` on one table."""
     t = _table(v)
     return [(t[a], t[b], t[c], t[d]) for a, b, c, d in group]
 

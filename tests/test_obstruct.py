@@ -145,21 +145,29 @@ def test_pushed_classes_match_the_letter_by_letter_push(words):
 
 def test_pipeline_pushes_one_letter_per_root(monkeypatch):
     # each root's word is one letter on another root's word, so the eleven
-    # roots other than root 1 take one step each; the 16 other cohomology
-    # actions are t-actions' intertwining, the 3 other pullbacks the symmetry rows
+    # roots other than root 1 take one step each, for the pushed and for the
+    # orbit classes; the 16 other cohomology actions are t-actions' intertwining
     calls = {}
     for module, name in (
         (cohomring, "cohomology_action_omega"),
         (cohomring, "homology_action"),
-        (pontsolve, "apply_pullback"),
     ):
         def counted(*args, _act=getattr(module, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _act(*args)
 
         monkeypatch.setattr(module, name, counted)
+
+    def counted_classes(words, start, step, _along=pontsolve.along_words):
+        def counted_step(*args):
+            calls["class step"] = calls.get("class step", 0) + 1
+            return step(*args)
+
+        return _along(words, start, counted_step)
+
+    monkeypatch.setattr(pontsolve, "along_words", counted_classes)
     assert obstruct.theorem_pipeline().theorem_status == "OBSTRUCTED"
-    assert calls == {"cohomology_action_omega": 27, "homology_action": 11, "apply_pullback": 14}
+    assert calls == {"cohomology_action_omega": 27, "homology_action": 11, "class step": 11}
 
 
 def test_erratum_records_present():
@@ -303,6 +311,17 @@ PLANTED_FAULTS = {
         lambda mp: mp.setattr(rootsys, "FOCAL_INDICES", (7, 8, 9, 10, 11)),
         "focal-table",
         "expected 7..11",
+    ),
+    # a focal label past the roots is no table row, and no class the focal sum can read
+    "focal-indices-past-roots": (
+        lambda mp: mp.setattr(rootsys, "FOCAL_INDICES", range(7, 14)),
+        "focal-table",
+        "expected 7..13",
+    ),
+    "focal-indices-past-roots-solver": (
+        lambda mp: mp.setattr(rootsys, "FOCAL_INDICES", range(7, 14)),
+        "pontryagin-solver",
+        "basis: focal label 13 is no root",
     ),
     "focal-indices-shifted-solver": (
         lambda mp: mp.setattr(rootsys, "FOCAL_INDICES", range(6, 12)),
@@ -478,6 +497,12 @@ PLANTED_FAULTS = {
         lambda mp: mp.setattr(vect4, "RULE", (1, -1, 4)),
         "exact-sequence-window",
         "'realizable_closed_under_group_ops': False",
+    ),
+    # a modulus of 0 is no congruence; the rule is rejected where it is first read
+    "rule-modulus-zero": (
+        lambda mp: mp.setattr(vect4, "RULE", (2, -1, 0)),
+        "generator-pairs",
+        "RULE (2, -1, 0): the modulus 0 is not positive",
     ),
     "stabilize-keeps-euler": (
         lambda mp: mp.setattr(vect4, "stabilize", lambda x: x[0]),
@@ -672,9 +697,9 @@ INTEGER_KERNELS = (
     cohomring.cohomology_action_omega,
     cohomring._symmetric,
     cohomring.act_on_polynomial,
-    pontsolve.apply_pullback,
+    rootsys.act,
+    pontsolve._sum,
     pontsolve.symmetry_constraint,
-    pontsolve._symbol_form,
     obstruct._reflections_on_t,
     obstruct._pairing_duality,
 )

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from d4check import cohomring as ch
 from d4check import obstruct
 from d4check import pontsolve as ps
-from d4check.rootsys import WORD_TABLE, build_d4, enumerate_group, simple_cartan_matrix, simple_generators
+from d4check.rootsys import WORD_TABLE, act, build_d4, enumerate_group, simple_cartan_matrix, simple_generators
 from signed_perms import ALL_SIGNED_PERMS, BY_CODE, WORD_SETS, apply, code, compose, element_from_word
 
 #: each root's word as printed; root 1 has the empty word
@@ -31,29 +31,35 @@ def classes(acts):
 
 
 def test_base_class_is_generic(classes):
-    assert classes[1] == ps.generic_class()
+    # k1*t1 + k2*t2 + k3*t3 + k4*t4: the identity code
+    assert classes[1] == (1, 2, 3, 4)
 
 
 def test_orbit_class_for_second_root(classes):
-    # at k1=k2=k this is k3*t1 + k*t2 + k*t3 + k4*t4
-    got = [ps._substitute(f, False) for f in classes[2]]
-    assert got == [
-        (0, 1, 0),
-        (1, 0, 0),
-        (1, 0, 0),
-        (0, 0, 1),
-    ]
+    # k3*t1 + k1*t2 + k2*t3 + k4*t4; at k1=k2=k this is k3*t1 + k*t2 + k*t3 + k4*t4
+    assert classes[2] == (3, 1, 2, 4)
+    assert [ps._AFTER_LEAF_SYMBOLS[a] for a in classes[2]] == ["k3", "k", "k", "k4"]
 
 
 def test_orbit_class_for_seventh_root(classes):
-    # k*t1 - k*t2 + k3*t3 - k4*t4
-    got = [ps._substitute(f, False) for f in classes[7]]
-    assert got == [
-        (1, 0, 0),
-        (-1, 0, 0),
-        (0, 1, 0),
-        (0, 0, -1),
-    ]
+    # k1*t1 - k2*t2 + k3*t3 - k4*t4; at k1=k2=k this is k*t1 - k*t2 + k3*t3 - k4*t4
+    assert classes[7] == (1, -2, 3, -4)
+    assert [ps._AFTER_LEAF_SYMBOLS[a] for a in classes[7]] == ["k", "-k", "k3", "-k4"]
+
+
+def _printed(a, k3_is_minus_k):
+    """Reference: the table symbol of k_|a|, negated for a < 0, once k1 = k2 = k, and k3 = -k if asked."""
+    name, negated = {1: "k", 2: "k", 3: "k3", 4: "k4"}[abs(a)], a < 0
+    if k3_is_minus_k and name == "k3":
+        name, negated = "k", not negated
+    return "-" * negated + name
+
+
+@pytest.mark.parametrize("symbols, k3_is_minus_k", [(ps._AFTER_LEAF_SYMBOLS, False), (ps._FOCAL_SYMBOLS, True)])
+def test_symbol_tuples_print_each_signed_unknown(symbols, k3_is_minus_k):
+    # every code entry, also those no class of the D4 data has, such as -3
+    entries = (1, 2, 3, 4, -4, -3, -2, -1)
+    assert [symbols[a] for a in entries] == [_printed(a, k3_is_minus_k) for a in entries]
 
 
 def test_full_orbit_table(classes):
@@ -70,10 +76,10 @@ def _word_element(word, acts):
 
 
 def test_classes_are_pullbacks_by_the_word_elements(acts, classes):
-    # the letter-by-letter pullback equals one pullback by the word's product
+    # the letter-by-letter pullback of the generic class is the code of the word's product
     assert list(classes) == list(range(1, 13))
     for idx, word in WORDS.items():
-        assert classes[idx] == ps.apply_pullback(_word_element(word, acts), ps.generic_class())
+        assert classes[idx] == _word_element(word, acts)
 
 
 @settings(max_examples=50, deadline=None)
@@ -84,7 +90,7 @@ def test_orbit_classes_match_the_letter_by_letter_pullback(acts, words):
     classes = ps.orbit_classes(acts, words)
     assert list(classes) == list(words)
     for idx, word in words.items():
-        assert classes[idx] == ps.apply_pullback(_word_element(word, acts), ps.generic_class())
+        assert classes[idx] == _word_element(word, acts)
 
 
 def test_run_classes_read_the_group_words(classes):
@@ -92,16 +98,14 @@ def test_run_classes_read_the_group_words(classes):
     assert obstruct.Run().classes == classes
 
 
-forms = st.tuples(*[st.integers()] * 4)
-
-
 @settings(max_examples=50, deadline=None)
-@given(st.tuples(*[forms] * 4))
-def test_pullback_places_each_form(cls):
-    # the reference applies sp to each unknown's t-vector, the columns of the class
+@given(st.tuples(*[st.integers()] * 4))
+def test_pullback_places_each_form(v):
+    # the pullback of a class, and the symmetry rows' action on each unknown's
+    # t-vector, is rootsys.act: the reference's action of each signed permutation
     assert len(set(ALL_SIGNED_PERMS)) == 384
     for sp in ALL_SIGNED_PERMS:
-        assert ps.apply_pullback(code(sp), cls) == tuple(zip(*[apply(sp, col) for col in zip(*cls)]))
+        assert act(code(sp), v) == apply(sp, v)
 
 
 def test_pullback_roundtrip(acts, classes):
@@ -109,9 +113,9 @@ def test_pullback_roundtrip(acts, classes):
     for idx, word in WORDS.items():
         cls = classes[idx]
         for label in word:
-            cls = ps.apply_pullback(acts[label], cls)
+            cls = act(acts[label], cls)
         for label in reversed(word):
-            cls = ps.apply_pullback(acts[label], cls)
+            cls = act(acts[label], cls)
         assert cls == classes[idx]
 
 
@@ -121,12 +125,12 @@ def test_pullback_and_substitution_act_on_the_left(acts):
     # action is a left action
     group = enumerate_group(acts)
     assert len(group) == 192
-    generic = ps.generic_class()
+    generic = (1, 2, 3, 4)
     p = ch.expand((1, ch.elementary_symmetric(2), ch.theta(1)))
     for a in acts.values():
         for b in group:
             ab = code(compose(BY_CODE[a], BY_CODE[b]))
-            assert ps.apply_pullback(ab, generic) == ps.apply_pullback(a, ps.apply_pullback(b, generic))
+            assert act(ab, generic) == act(a, act(b, generic)) == ab
             assert ch.act_on_polynomial(ab, p) == ch.act_on_polynomial(a, ch.act_on_polynomial(b, p))
 
 
