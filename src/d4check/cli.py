@@ -24,17 +24,6 @@ _REPORT_OPTIONS = {
     "--out": (str, None, "PATH", "also write the report to a file"),
 }
 
-#: command -> (the word it takes, or "" for none; its options; help)
-COMMANDS = {
-    "verify-all": ("", _REPORT_OPTIONS, "run every check and the theorem pipeline"),
-    "verify": ("CHECK_ID", _REPORT_OPTIONS, "run a single check, building only what it reads"),
-    "roots": ("", {}, "print the positive roots"),
-    "weyl": ("", {"--order": (None, False, None, "print only the group order")}, "Weyl group information"),
-    "tables": ("", {"--which": (("4-2", "4-3"), "4-2", None, "which table (default: 4-2)")},
-               "print the symbolic orbit-class tables"),
-}
-
-
 def _usage_error(message: str):
     print(f"d4check: error: {message}", file=sys.stderr)
     raise SystemExit(2)
@@ -49,7 +38,7 @@ def _plain(argv: list[str]) -> SimpleNamespace | None:
     command, *args = argv or [""]
     if command not in COMMANDS:
         return None
-    word, options, _ = COMMANDS[command]
+    word, options, *_ = COMMANDS[command]
     values = {name: spec[1] for name, spec in options.items()}
     tokens = iter(args)
     for token in tokens:
@@ -85,7 +74,7 @@ def _argparse(argv: list[str]):
     # the check ids go one per line after the options, where the help wraps none of them at a hyphen
     listed = {"epilog": "\n  ".join(["CHECK_ID is one of:", *CHECK_IDS]),
               "formatter_class": argparse.RawDescriptionHelpFormatter}
-    for command, (word, options, text) in COMMANDS.items():
+    for command, (word, options, text, _) in COMMANDS.items():
         sub = commands.add_parser(command, help=text, description=text, **(listed if word else {}))
         sub.error = _usage_error
         if word:
@@ -107,11 +96,7 @@ def parse_args(argv: list[str]):
     return _plain(argv) or _argparse(argv)
 
 
-def _render_symbol_row(symbols) -> str:
-    return " + ".join(f"{s}*t{i}" for i, s in enumerate(symbols, start=1)).replace("+ -", "- ")
-
-
-def _cmd_roots() -> int:
+def _cmd_roots(args) -> int:
     for i, root in obstruct.Run().rs.items():
         coords = ", ".join(str(c) for c in root)
         print(f"alpha_{i:<2} = ({coords})")
@@ -119,21 +104,22 @@ def _cmd_roots() -> int:
     return 0
 
 
-def _cmd_weyl(order_only: bool) -> int:
+def _cmd_weyl(args) -> int:
     group = obstruct.Run().group
-    if order_only:
+    if args.order:
         print(len(group))
-        return 0
-    print(f"group order: {len(group)}")
-    for length, count in sorted(Counter(map(len, group.values())).items()):
-        print(f"  elements of word length {length}: {count}")
+    else:
+        print(f"group order: {len(group)}")
+        for length, count in sorted(Counter(map(len, group.values())).items()):
+            print(f"  elements of word length {length}: {count}")
     return 0
 
 
-def _cmd_tables(which: str) -> int:
-    table = pontsolve.TABLE_AFTER_LEAF if which == "4-2" else pontsolve.TABLE_FOCAL
+def _cmd_tables(args) -> int:
+    table = pontsolve.TABLE_AFTER_LEAF if args.which == "4-2" else pontsolve.TABLE_FOCAL
     for idx in sorted(table):
-        print(f"class for root {idx:>2}: {_render_symbol_row(table[idx])}")
+        row = " + ".join(f"{s}*t{i}" for i, s in enumerate(table[idx], start=1)).replace("+ -", "- ")
+        print(f"class for root {idx:>2}: {row}")
     return 0
 
 
@@ -151,36 +137,48 @@ def _emit(rep: VerificationReport, args) -> int:
     return 0 if rep.all_passed() else 1
 
 
-def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
-
-    try:
-        if args.command == "roots":
-            return _cmd_roots()
-        if args.command == "weyl":
-            return _cmd_weyl(args.order)
-    except ValueError as exc:
-        print(f"d4check: error: {exc}", file=sys.stderr)
-        return 1
-    if args.command == "tables":
-        return _cmd_tables(args.which)
-
+def _run(args) -> obstruct.Run:
+    """The run the report options ask for; a window below 4 is a usage error."""
     if args.window < 4:
         _usage_error(f"--window must be >= 4, got {args.window}")
-    if args.command == "verify-all":
-        rep = obstruct.theorem_pipeline(args.window, args.no_symmetry_constraint, args.skip_window_checks)
-        return _emit(rep, args)
+    return obstruct.Run(args.window, args.no_symmetry_constraint, args.skip_window_checks)
+
+
+def _cmd_verify_all(args) -> int:
+    run = _run(args)
+    return _emit(obstruct.theorem_pipeline(run.window, run.disable_symmetry, run.skip_window), args)
+
+
+def _cmd_verify(args) -> int:
+    run = _run(args)
     if args.check_id not in CHECK_IDS:
         _usage_error(f"unknown check-id: {args.check_id}")
-    run = obstruct.Run(args.window, args.no_symmetry_constraint, args.skip_window_checks)
-    checks = [c for c in run.selected() if c.id == args.check_id]
+    # the check's own record only: an erratum noted after it is no part of it
+    checks = [c._replace(erratum=None) for c in run.selected() if c.id == args.check_id]
     if not checks:
         switch = "--no-symmetry-constraint" if run.disable_symmetry else "--skip-window-checks"
         _usage_error(f"{switch} leaves check {args.check_id} out of the run")
-    rep = obstruct.run_checks(checks, run)
-    # an erratum noted after the check is no part of its record
-    rep.checks = [c for c in rep.checks if c.id == args.check_id]
-    return _emit(rep, args)
+    return _emit(obstruct.run_checks(checks, run), args)
+
+
+#: command -> (the word it takes, or "" for none; its options; help; its handler, which returns the exit code)
+COMMANDS = {
+    "verify-all": ("", _REPORT_OPTIONS, "run every check and the theorem pipeline", _cmd_verify_all),
+    "verify": ("CHECK_ID", _REPORT_OPTIONS, "run a single check, building only what it reads", _cmd_verify),
+    "roots": ("", {}, "print the positive roots", _cmd_roots),
+    "weyl": ("", {"--order": (None, False, None, "print only the group order")}, "Weyl group information", _cmd_weyl),
+    "tables": ("", {"--which": (("4-2", "4-3"), "4-2", None, "which table (default: 4-2)")},
+               "print the symbolic orbit-class tables", _cmd_tables),
+}
+
+
+def main(argv=None) -> int:
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    try:
+        return COMMANDS[args.command][3](args)
+    except ValueError as exc:  # root data that builds no run object
+        print(f"d4check: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

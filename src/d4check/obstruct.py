@@ -95,7 +95,18 @@ class Run:
 
     @_derived
     def rs(self):
-        return rootsys.build_d4()
+        """The roots, keyed 1..12 and each a 4-tuple; the simple and stabilizer labels must name them."""
+        rs, simple, stabilizer = rootsys.build_d4(), rootsys.SIMPLE_INDICES, rootsys.STABILIZER_INDICES
+        if sorted(rs) != list(range(1, 13)):
+            raise ValueError(f"root labels {sorted(rs)}, expected 1..12")
+        for i, root in rs.items():
+            if not isinstance(root, tuple) or len(root) != 4:
+                raise ValueError(f"root {i} {root} is no 4-tuple")
+        if len(set(simple)) != 4 or not set(simple) <= set(rs):
+            raise ValueError(f"SIMPLE_INDICES {simple}: expected four distinct root labels")
+        if not set(stabilizer) <= set(simple):
+            raise ValueError(f"STABILIZER_INDICES {stabilizer}: expected simple labels")
+        return rs
 
     @_derived
     def gens(self):
@@ -169,8 +180,10 @@ class Run:
         return e, {i: cohomring.theta(i) for i in range(1, 4)}
 
     def selected(self) -> list[Check]:
-        """The checks this run's switches keep, in certificate order."""
-        return [c for c in CHECKS if c.when(self)]
+        """The checks this run's switches keep, in order: without symmetry the run ends at the solver."""
+        if self.disable_symmetry:
+            return [*CHECKS[:CHECK_IDS.index("pontryagin-solver")], _SOLVER_WITHOUT_SYMMETRY]
+        return [c for c in CHECKS if not (self.skip_window and c.id == "exact-sequence-window")]
 
 
 class Check(NamedTuple):
@@ -182,12 +195,6 @@ class Check(NamedTuple):
     test: Callable[[Run], tuple[bool, str]]
     #: (id, ref, statement, detail) of a printed erratum noted right after the check
     erratum: tuple[str, str, str, str] | None = None
-    when: Callable[[Run], bool] = lambda run: True
-
-
-def _with_symmetry(run: Run) -> bool:
-    # without the symmetry constraint the run stops after the solver
-    return not run.disable_symmetry
 
 
 EXPECTED_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
@@ -213,6 +220,8 @@ def _stabilizer_order(run):
 
 
 def _word_table(run):
+    if sorted(rootsys.WORD_TABLE) != list(range(2, 13)):
+        raise ValueError(f"WORD_TABLE labels {sorted(rootsys.WORD_TABLE)}, expected 2..12")
     words = {i: rootsys.WORD_TABLE.get(i) == run.orbit.get(root) for i, root in run.rs.items() if i != 1}
     return all(words.values()), f"per-root results: {words}"
 
@@ -237,6 +246,8 @@ def _reflections_on_t(run):
     # (3-3) on the omega rows of t1..t4: a reflection whose entry j is s (k + 1) sends e_k to s e_j,
     # so it sends s times row k to row j; entry a of ``signed`` is row |a|, negated for a < 0
     rows = [tuple(row) for row in cohomring.T_OF_OMEGA]
+    if (lengths := list(map(len, rows))) != [4, 4, 4, 4]:
+        raise ValueError(f"T_OF_OMEGA row lengths {lengths}, expected 4 x 4")
     signed = [(), *rows, *[tuple(map(neg, row)) for row in reversed(rows)]]
     intertwine = {
         i: [cohomring.cohomology_action_omega(run.cartan, i, signed[a]) for a in g] == rows
@@ -330,7 +341,7 @@ def _congruence_obstruction(run):
     return ok, f"{c1} -> residues {r1} (k odd); {c2} -> residues {r2} (k even); intersection {inter}"
 
 
-#: The certificate, in order; the check ids are written only here.
+#: The certificate, one check per id, in order.
 CHECKS = (
     Check("weyl-order", "Remark 1",
           "the four simple reflections generate a group of order 2^3 * 4! = 192", _weyl_order),
@@ -372,15 +383,10 @@ CHECKS = (
           "the six focal classes match the table and their sum factors as -(k+k4)(t2+2t3+3t4)",
           _focal_table),
     Check("pontryagin-solver", "Lemma 7",
-          "with the symmetry constraint disabled the solution space is 2-dimensional",
-          lambda run: (run.basis[0] == 2, f"dimension {run.basis[0]}"),
-          when=lambda run: run.disable_symmetry),
-    Check("pontryagin-solver", "Lemma 7",
-          "the full constraint system has solution line spanned by (1, 1, -1, -1)",
-          _pontryagin_solver, when=_with_symmetry),
+          "the full constraint system has solution line spanned by (1, 1, -1, -1)", _pontryagin_solver),
     Check("bundle-classes", "Lemma 8",
           "the distinguished bundle has Euler class 2w1 - w2 and Pontryagin class 2k(w2 - w9)",
-          _bundle_classes, when=_with_symmetry,
+          _bundle_classes,
           erratum=(
               "bundle-classes-erratum", "(4-4)",
               "the printed Pontryagin class names a nonexistent basis symbol w4",
@@ -389,20 +395,25 @@ CHECKS = (
     Check("generator-pairs", "Lemma 9 Example",
           "the tangent and quaternionic classes (2,0) and (1,-2) span the realizable pairs, of index 4; "
           "(1,0) is not one",
-          _generator_pairs, when=_with_symmetry),
+          _generator_pairs),
     Check("exact-sequence-window", "Lemma 9",
           "stabilization kernel/image and subgroup structure hold on the window |a|,|b| <= {window}",
-          _exact_sequence_window, when=lambda run: _with_symmetry(run) and not run.skip_window),
+          _exact_sequence_window),
     Check("leaf-restrictions", "Theorem proof",
           "restriction to the two leaf spheres gives the pairs (-1, 2k) and (0, -2k)",
-          _leaf_restrictions, when=_with_symmetry),
+          _leaf_restrictions),
     Check("congruence-obstruction", "Theorem proof",
           "the two realizability congruences force k odd and k even; no integer satisfies both",
-          _congruence_obstruction, when=_with_symmetry),
+          _congruence_obstruction),
 )
 
 #: Canonical check ids, in certificate order.
-CHECK_IDS = list(dict.fromkeys(c.id for c in CHECKS))
+CHECK_IDS = [c.id for c in CHECKS]
+
+#: The solver's check when the symmetry constraint is dropped: the run ends with it.
+_SOLVER_WITHOUT_SYMMETRY = Check(
+    "pontryagin-solver", "Lemma 7", "with the symmetry constraint disabled the solution space is 2-dimensional",
+    lambda run: (run.basis[0] == 2, f"dimension {run.basis[0]}"))
 
 
 def run_checks(checks: list[Check], run: Run) -> VerificationReport:

@@ -136,6 +136,16 @@ def test_verify_id_record_matches_verify_all_under_switch(capsys, switch, kept):
         assert json.loads(out)["checks"] == [c for c in full if c["id"] == check_id]
 
 
+@pytest.mark.parametrize("check_id", ["basis-roundtrip", "bundle-classes"])
+def test_verify_id_notes_no_erratum(capsys, monkeypatch, check_id):
+    # the erratum noted after a check in verify-all is no part of that check's own run
+    noted = []
+    monkeypatch.setattr(VerificationReport, "note_erratum", lambda self, *args: noted.append(args))
+    code, out = run_cli(capsys, "verify", check_id)
+    assert code == 0 and "1 checks: 1 passed" in out
+    assert noted == []
+
+
 def test_verify_builds_only_what_its_check_reads(capsys, monkeypatch):
     def unexpected(*args):
         raise AssertionError("not read by cartan-matrix")
@@ -285,6 +295,17 @@ def test_weyl_on_bad_root_data_exits_1(capsys, monkeypatch, argv):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"d4check: error: {error}\n"
+
+
+@pytest.mark.parametrize("argv", [["roots"], ["weyl"]])
+def test_malformed_root_data_exits_1(capsys, monkeypatch, argv):
+    # the root data is checked where it is first read, so a dropped root is named, not a KeyError
+    roots = {i: root for i, root in rootsys._POSITIVE_ROOT_COORDS.items() if i != 2}
+    monkeypatch.setattr(rootsys, "_POSITIVE_ROOT_COORDS", roots)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "d4check: error: rs: root labels [1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], expected 1..12\n"
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -1,5 +1,7 @@
 import inspect
+import runpy
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +42,13 @@ def test_pipeline_obstructed():
     assert rep.theorem_status == "OBSTRUCTED"
     assert rep.all_passed()
     assert [c.id for c in rep.checks if c.status == "fail"] == []
+
+
+def test_check_ids_and_errata_match_the_output_gate():
+    # the benchmark's gate writes the ids out; the program states them once, one check per id
+    gate = runpy.run_path(str(Path(__file__).parents[1] / "d4bench" / "gate.py"))
+    assert obstruct.CHECK_IDS == [c.id for c in obstruct.CHECKS] == list(gate["CHECK_IDS"])
+    assert [c.erratum[0] for c in obstruct.CHECKS if c.erratum] == list(gate["ERRATA"])
 
 
 def test_pipeline_check_ids_are_unique_and_known():
@@ -206,6 +215,14 @@ def _generator(label, code):
             return {**_build(rs), label: code}
 
         monkeypatch.setattr(rootsys, "simple_generators", planted)
+
+    return plant
+
+
+def _dropped(module, name, key):
+    """Plant ``module.<name>`` as a copy without ``key``, so the module's own dict keeps its order."""
+    def plant(monkeypatch):
+        monkeypatch.setattr(module, name, {k: v for k, v in getattr(module, name).items() if k != key})
 
     return plant
 
@@ -468,6 +485,54 @@ PLANTED_FAULTS = {
         "focal-table",
         "expected 7..12",
     ),
+    # the root data is checked where the run first reads it: labels 1..12, each root a 4-tuple,
+    # four distinct simple labels among them and stabilizer labels among those
+    "root-2-dropped": (
+        _dropped(rootsys, "_POSITIVE_ROOT_COORDS", 2),
+        "weyl-order",
+        "rs: root labels [1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], expected 1..12",
+    ),
+    "root-5-dropped": (
+        _dropped(rootsys, "_POSITIVE_ROOT_COORDS", 5),
+        "orbit-table",
+        "rs: root labels [1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12], expected 1..12",
+    ),
+    "root-2-three-entries": (
+        lambda mp: mp.setitem(rootsys._POSITIVE_ROOT_COORDS, 2, (0, 1, -1)),
+        "weyl-order",
+        "rs: root 2 (0, 1, -1) is no 4-tuple",
+    ),
+    "simple-indices-short": (
+        lambda mp: mp.setattr(rootsys, "SIMPLE_INDICES", (1, 2, 3)),
+        "cartan-matrix",
+        "rs: SIMPLE_INDICES (1, 2, 3): expected four distinct root labels",
+    ),
+    "simple-indices-long": (
+        lambda mp: mp.setattr(rootsys, "SIMPLE_INDICES", (1, 2, 3, 9, 4)),
+        "kronecker-submatrix",
+        "rs: SIMPLE_INDICES (1, 2, 3, 9, 4): expected four distinct root labels",
+    ),
+    "simple-indices-past-roots": (
+        lambda mp: mp.setattr(rootsys, "SIMPLE_INDICES", (1, 2, 3, 13)),
+        "weyl-order",
+        "rs: SIMPLE_INDICES (1, 2, 3, 13): expected four distinct root labels",
+    ),
+    "stabilizer-indices-not-simple": (
+        lambda mp: mp.setattr(rootsys, "STABILIZER_INDICES", (1, 2, 4)),
+        "invariance-suite",
+        "rs: STABILIZER_INDICES (1, 2, 4): expected simple labels",
+    ),
+    "stabilizer-indices-past-roots": (
+        lambda mp: mp.setattr(rootsys, "STABILIZER_INDICES", (1, 2, 13)),
+        "invariance-suite",
+        "rs: STABILIZER_INDICES (1, 2, 13): expected simple labels",
+    ),
+    # t-actions reads T_OF_OMEGA as the omega rows of t1..t4
+    "omega-of-t-three-columns": (
+        lambda mp: mp.setattr(cohomring, "T_OF_OMEGA", [row[:3] for row in cohomring.T_OF_OMEGA]),
+        "t-actions",
+        "T_OF_OMEGA row lengths [3, 3, 3, 3], expected 4 x 4",
+    ),
     "word-table-entry": (
         lambda mp: mp.setitem(rootsys.WORD_TABLE, 5, (1,)),
         "word-table",
@@ -485,6 +550,12 @@ PLANTED_FAULTS = {
         lambda mp: mp.setitem(rootsys.WORD_TABLE, 4, (2, 3)),
         "word-table",
         "4: False",
+    ),
+    # a printed word for no root of 2..12 is a word the table does not certify
+    "word-table-extra-label": (
+        lambda mp: mp.setitem(rootsys.WORD_TABLE, 13, (1,)),
+        "word-table",
+        "WORD_TABLE labels [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13], expected 2..12",
     ),
     "gamma-sign": (
         lambda mp: mp.setattr(vect4, "gamma", lambda: (1, 2)),
@@ -770,3 +841,82 @@ def test_every_single_datum_fault_fails(monkeypatch):
         first = next(c.id for c in rep.checks if c.status == "fail")
         first_failures[first] = first_failures.get(first, 0) + 1
     assert first_failures == {"word-table": 160, "orbit-table": 48, "weyl-order": 32, "focal-table": 24}
+
+
+#: faults of ``_shape_faults`` that leave the data equivalent, so the run ends OBSTRUCTED
+EQUIVALENT_SHAPE_FAULTS = {
+    "BASE_POINT (2, 2, 2, 2)": "a multiple of the base point has the same fixers",
+    "STABILIZER_INDICES (3, 2, 1)": "the same labels in another order generate the same subgroup",
+    "STABILIZER_INDICES (1, 1, 2, 3)": "a repeated label generates nothing more",
+    "FOCAL_INDICES (7, 8, 9, 10, 11, 12)": "the tuple holds the labels of range(7, 13)",
+    "WORD_TABLE[4] (2,)": "the shortest printed word is root 4's own word",
+}
+
+
+def _shape_faults():
+    """(name, module, datum, wrong value) for each fault in the shape of the hand data.
+
+    Each hand table with one key dropped and with a key added below and above
+    its labels; each word replaced by the shortest; each label set too short,
+    too long or with a label that is no root, and the equivalent label sets;
+    T_OF_OMEGA with 3 and 5 rows and columns; each root with 3 and 5 entries;
+    RULE with modulus 0 and a negative one.
+    """
+    tables = ((rootsys, "_POSITIVE_ROOT_COORDS"), (rootsys, "WORD_TABLE"),
+              (pontsolve, "TABLE_AFTER_LEAF"), (pontsolve, "TABLE_FOCAL"))
+    for module, name in tables:
+        table = getattr(module, name)
+        for key in table:
+            yield f"{name} without {key}", module, name, {k: v for k, v in table.items() if k != key}
+        first, last = min(table), max(table)
+        for key in (first - 1, last + 1):
+            yield f"{name} with {key}", module, name, {**table, key: table[first]}
+    for key in rootsys.WORD_TABLE:
+        yield f"WORD_TABLE[{key}] (2,)", rootsys, "WORD_TABLE", {**rootsys.WORD_TABLE, key: (2,)}
+    for name, extra in (("SIMPLE_INDICES", 4), ("STABILIZER_INDICES", 9), ("FOCAL_INDICES", 6)):
+        labels = tuple(getattr(rootsys, name))
+        for wrong in (labels[:-1], labels + (extra,), labels[:-1] + (13,)):
+            yield f"{name} {wrong}", rootsys, name, wrong
+    yield "BASE_POINT (2, 2, 2, 2)", rootsys, "BASE_POINT", (2, 2, 2, 2)
+    for wrong in ((3, 2, 1), (1, 1, 2, 3)):
+        yield f"STABILIZER_INDICES {wrong}", rootsys, "STABILIZER_INDICES", wrong
+    yield "FOCAL_INDICES (7, 8, 9, 10, 11, 12)", rootsys, "FOCAL_INDICES", tuple(rootsys.FOCAL_INDICES)
+    rows = cohomring.T_OF_OMEGA
+    for shape, wrong in (
+        ("3 rows", rows[:3]),
+        ("5 rows", [*rows, [0, 0, 0, 1]]),
+        ("3 columns", [row[:3] for row in rows]),
+        ("5 columns", [[*row, 0] for row in rows]),
+    ):
+        yield f"T_OF_OMEGA with {shape}", cohomring, "T_OF_OMEGA", wrong
+    for i, root in rootsys._POSITIVE_ROOT_COORDS.items():
+        for wrong in (root[:3], root + (0,)):
+            yield f"root {i} {wrong}", rootsys, "_POSITIVE_ROOT_COORDS", {**rootsys._POSITIVE_ROOT_COORDS, i: wrong}
+    for modulus in (0, -4):
+        yield f"RULE modulus {modulus}", vect4, "RULE", vect4.RULE[:2] + (modulus,)
+
+
+def test_every_single_datum_fault_of_shape_fails(monkeypatch):
+    # a malformed datum ends the run FAILED on a named check, never in a traceback
+    first_failures, obstructed = {}, set()
+    for fault, module, name, wrong in _shape_faults():
+        with monkeypatch.context() as mp:
+            mp.setattr(module, name, wrong)
+            rep = obstruct.theorem_pipeline()
+        if rep.theorem_status == "OBSTRUCTED":
+            obstructed.add(fault)
+            continue
+        assert rep.theorem_status == "FAILED", fault
+        first = next(c.id for c in rep.checks if c.status == "fail")
+        first_failures[first] = first_failures.get(first, 0) + 1
+    assert obstructed == set(EQUIVALENT_SHAPE_FAULTS)
+    assert first_failures == {
+        "weyl-order": 42,
+        "word-table": 23,
+        "orbit-table": 14,
+        "focal-table": 11,
+        "basis-roundtrip": 3,
+        "stabilizer-order": 2,
+        "generator-pairs": 2,
+        "t-actions": 1,
+    }
