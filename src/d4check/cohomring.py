@@ -47,6 +47,14 @@ T_OF_OMEGA = [
 ]
 
 
+def t_rows() -> list[tuple]:
+    """The rows of ``T_OF_OMEGA`` as tuples, read at call time; ValueError unless it is 4 x 4."""
+    rows = [tuple(row) for row in T_OF_OMEGA]
+    if (lengths := list(map(len, rows))) != [4, 4, 4, 4]:
+        raise ValueError(f"T_OF_OMEGA row lengths {lengths}, expected 4 x 4")
+    return rows
+
+
 def omega_from_t(c: tuple) -> tuple:
     """The omega coordinates of a class given in t coordinates."""
     return tuple([sum(map(mul, c, col)) for col in zip(*T_OF_OMEGA)])

@@ -9,24 +9,18 @@ off ``vect4``, and certify that their residue sets are disjoint.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections import namedtuple
 from operator import mul, neg
-from typing import NamedTuple
 
 from . import cohomring, pontsolve, rootsys, vect4
-from .cohomring import kronecker, unit
 
 
 # ---------------------------------------------------------------------------
 # Report plumbing
 
 
-class CheckRecord(NamedTuple):
-    id: str
-    ref: str
-    statement: str
-    status: str  # "pass" | "fail" | "noted-erratum"
-    detail: str
+#: One line of a report; ``status`` is "pass", "fail" or "noted-erratum".
+CheckRecord = namedtuple("CheckRecord", "id ref statement status detail")
 
 
 class VerificationReport:
@@ -127,7 +121,7 @@ class Run:
 
     @_derived
     def orbit(self):
-        """The orbit of root 1: each image with the shortlex-least word carrying root 1 there."""
+        """The orbit of root 1: each image with the first group element carrying root 1 there."""
         return rootsys.orbit(self.group, self.rs[1])
 
     @_derived
@@ -137,7 +131,7 @@ class Run:
         for i, root in self.rs.items():
             if root not in self.orbit:
                 raise ValueError(f"root {i} is not in the orbit of the first root")
-            words[i] = self.orbit[root]
+            words[i] = self.group[self.orbit[root]]
         return words
 
     @_derived
@@ -150,11 +144,12 @@ class Run:
             d, b = db
             return cohomring.cohomology_action_omega(cartan, label, d), cohomring.homology_action(cartan, label, b)
 
-        return rootsys.along_words(words, (cohomring.euler_class_d(cartan, 1), unit(1)), step)
+        return rootsys.along_words(words, (cohomring.euler_class_d(cartan, 1), cohomring.unit(1)), step)
 
     @_derived
     def classes(self):
-        return pontsolve.orbit_classes(self.gens, self.words)
+        """Each root's class, k1*t1 + .. + k4*t4 pulled back along its word: the root's orbit element."""
+        return {i: self.orbit[self.rs[i]] for i in self.words}
 
     @_derived
     def basis(self):
@@ -171,7 +166,8 @@ class Run:
     def pairs(self):
         """The bundle's (Euler, Pontryagin per unit k) pairs on the leaf spheres 2 and 9."""
         euler, p1_unit = self.bundle
-        return tuple((kronecker(euler, b), kronecker(p1_unit, b)) for _, b in (self.pushed[2], self.pushed[9]))
+        pair = cohomring.kronecker
+        return tuple((pair(euler, b), pair(p1_unit, b)) for _, b in (self.pushed[2], self.pushed[9]))
 
     @_derived
     def invariants(self):
@@ -186,15 +182,10 @@ class Run:
         return [c for c in CHECKS if not (self.skip_window and c.id == "exact-sequence-window")]
 
 
-class Check(NamedTuple):
-    """One lemma-level fact: ``test`` returns ``(ok, detail)`` or raises ``ValueError``."""
-
-    id: str
-    ref: str
-    statement: str  # may name {window}
-    test: Callable[[Run], tuple[bool, str]]
-    #: (id, ref, statement, detail) of a printed erratum noted right after the check
-    erratum: tuple[str, str, str, str] | None = None
+#: One lemma-level fact: ``test(run)`` returns ``(ok, detail)`` or raises ``ValueError``;
+#: ``statement`` may name {window}, and ``erratum``, if any, is the (id, ref, statement,
+#: detail) of a printed erratum noted right after the check.
+Check = namedtuple("Check", "id ref statement test erratum", defaults=(None,))
 
 
 EXPECTED_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
@@ -222,7 +213,9 @@ def _stabilizer_order(run):
 def _word_table(run):
     if sorted(rootsys.WORD_TABLE) != list(range(2, 13)):
         raise ValueError(f"WORD_TABLE labels {sorted(rootsys.WORD_TABLE)}, expected 2..12")
-    words = {i: rootsys.WORD_TABLE.get(i) == run.orbit.get(root) for i, root in run.rs.items() if i != 1}
+    words = {
+        i: rootsys.WORD_TABLE.get(i) == run.group.get(run.orbit.get(root)) for i, root in run.rs.items() if i != 1
+    }
     return all(words.values()), f"per-root results: {words}"
 
 
@@ -232,7 +225,7 @@ def _root_orbit(run):
 
 def _kronecker_submatrix(run):
     simple = rootsys.SIMPLE_INDICES
-    sub = [[kronecker(run.pushed[i][0], run.pushed[j][1]) for j in simple] for i in simple]
+    sub = [[cohomring.kronecker(run.pushed[i][0], run.pushed[j][1]) for j in simple] for i in simple]
     return sub == EXPECTED_CARTAN, f"submatrix {sub}"
 
 
@@ -245,9 +238,7 @@ def _basis_roundtrip(run):
 def _reflections_on_t(run):
     # (3-3) on the omega rows of t1..t4: a reflection whose entry j is s (k + 1) sends e_k to s e_j,
     # so it sends s times row k to row j; entry a of ``signed`` is row |a|, negated for a < 0
-    rows = [tuple(row) for row in cohomring.T_OF_OMEGA]
-    if (lengths := list(map(len, rows))) != [4, 4, 4, 4]:
-        raise ValueError(f"T_OF_OMEGA row lengths {lengths}, expected 4 x 4")
+    rows = cohomring.t_rows()
     signed = [(), *rows, *[tuple(map(neg, row)) for row in reversed(rows)]]
     intertwine = {
         i: [cohomring.cohomology_action_omega(run.cartan, i, signed[a]) for a in g] == rows

@@ -2,8 +2,10 @@
 
 A candidate class k1*t1 + k2*t2 + k3*t3 + k4*t4 is pulled back along the
 words that the Weyl group gives the roots.  A pullback only permutes and
-negates coefficients, so each root's class is a signed-permutation code,
-which the printed tables are read against through a symbol tuple.  The
+negates coefficients, so each root's class is the signed permutation its
+word names, the element of ``rootsys.orbit`` that carries the first root
+there: in class c, t_{j+1} has coefficient k_|c[j]|, negated where c[j] < 0.
+The printed tables are read against the classes through a symbol tuple.  The
 classes are constrained three ways: triviality on the base leaf sphere,
 vanishing of the total tangent-bundle class, and symmetry of the
 focal-manifold part.  Each constraint is a row of integer coefficients, a
@@ -18,9 +20,8 @@ import math
 from itertools import chain, combinations
 from operator import sub
 
-from . import rootsys
-from .cohomring import T_OF_OMEGA, euler_class_d, omega_from_t
-from .rootsys import CartanMatrix, SignedPerm, act, along_words, inner
+from . import cohomring, rootsys
+from .rootsys import CartanMatrix, SignedPerm, act, inner
 
 # Linear form over the unknowns (k1, k2, k3, k4); a constraint row is one.
 LinForm = tuple[int, int, int, int]
@@ -38,23 +39,12 @@ def _sum(codes) -> tuple[LinForm, LinForm, LinForm, LinForm]:
     return tuple(map(tuple, total))
 
 
-def orbit_classes(gens: dict[int, SignedPerm], words: dict[int, tuple[int, ...]]) -> dict[int, SignedPerm]:
-    """Each root's class, k1*t1 + .. + k4*t4 pulled back along its word: its word's element.
-
-    In class c, t_{j+1} has coefficient k_|c[j]|, negated where c[j] < 0.
-    ``gens`` act on t1..t4 as on e_1..e_4, and ``words[i]`` carries the
-    first root to root i (``rootsys.orbit``); a word's class is its first
-    letter acting on its tail's class.
-    """
-    return along_words(words, (1, 2, 3, 4), lambda label, c: act(gens[label], c))
-
-
 def leaf_sphere_constraint() -> LinForm:
     """Stable triviality of the base leaf sphere: the pairing with b1 vanishes.
 
     The pairing of t_i with b_1 is the first omega coordinate of t_i.
     """
-    return tuple(T_OF_OMEGA[i][0] for i in range(4))
+    return tuple(row[0] for row in cohomring.t_rows())
 
 
 def sum_zero_constraint(classes: dict[int, SignedPerm]) -> list[LinForm]:
@@ -228,4 +218,4 @@ def lemma8_classes(cartan: CartanMatrix, solved: Solved) -> tuple[tuple, tuple]:
     derivation fixes the last basis vector.
     """
     line = solution_line(solved)
-    return euler_class_d(cartan, 1), omega_from_t(line)
+    return cohomring.euler_class_d(cartan, 1), cohomring.omega_from_t(line)

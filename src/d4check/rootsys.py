@@ -12,7 +12,8 @@ four entries of w gives w v; reading a group element's table there gives a
 product.  Group enumeration is a breadth-first closure that returns each
 element with its shortlex-reduced word over the generator labels
 1 < 2 < 3 < 9; ``images`` applies the whole group to a vector in one sweep,
-and an orbit reads each image's word off the group.
+and an orbit keeps, per image, the first element that carries the vector
+there, so every product of group elements is one the closure computed.
 """
 
 from __future__ import annotations
@@ -154,17 +155,16 @@ def images(group, v: tuple) -> list[tuple]:
     return [(t[a], t[b], t[c], t[d]) for a, b, c, d in group]
 
 
-def orbit(group: dict[SignedPerm, tuple[int, ...]], v: tuple) -> dict[tuple, tuple[int, ...]]:
-    """Each image of v under ``group`` with the shortlex-least word that carries v there.
+def orbit(group: dict[SignedPerm, tuple[int, ...]], v: tuple) -> dict[tuple, SignedPerm]:
+    """Each image of v under ``group`` with the first element, in the group's order, that carries v there.
 
-    ``group`` is the dict of ``enumerate_group``, already in shortlex order,
-    so the first word met for an image is its least.
+    ``group`` is the dict of ``enumerate_group``, in shortlex order of the
+    words, so that element's word ``group[w]`` is the least carrying v there.
     """
-    words = {}
-    for image, word in zip(images(group, v), group.values()):
-        if image not in words:
-            words[image] = word
-    return words
+    elements = {}
+    for image, w in zip(images(group, v), group):
+        elements.setdefault(image, w)
+    return elements
 
 
 def along_words(words: dict, start, step) -> dict:
@@ -184,7 +184,7 @@ def along_words(words: dict, start, step) -> dict:
 
 
 #: The printed reduced words carrying the first root to roots 2..12; the
-#: ``word-table`` check requires each to be that root's word in ``orbit``.
+#: ``word-table`` check requires each to be the word of that root's ``orbit`` element.
 WORD_TABLE: dict[int, tuple[int, ...]] = {
     2: (1, 2),
     3: (2, 1, 3, 2),

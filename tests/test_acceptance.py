@@ -31,8 +31,8 @@ def cartan(rs):
 
 
 @pytest.fixture(scope="module")
-def words(rs, gens):
-    # each root's word, read off the Weyl group
+def classes(rs, gens):
+    # each root's class is the orbit element that carries root 1 to it
     orbit = rootsys.orbit(rootsys.enumerate_group(gens), rs[1])
     return {i: orbit[a] for i, a in rs.items()}
 
@@ -57,8 +57,9 @@ def test_criterion_02_cartan_matrix(rs):
 
 
 def test_criterion_03_word_table_and_orbit(rs, gens):
-    orbit = rootsys.orbit(rootsys.enumerate_group(gens), rs[1])
-    words_ok = all(orbit.get(rs[i]) == word for i, word in rootsys.WORD_TABLE.items())
+    group = rootsys.enumerate_group(gens)
+    orbit = rootsys.orbit(group, rs[1])
+    words_ok = all(group.get(orbit.get(rs[i])) == word for i, word in rootsys.WORD_TABLE.items())
     report("3. word table (11 shortlex-least words) and root orbit of size 24",
            words_ok and len(orbit) == 24)
 
@@ -98,8 +99,7 @@ def test_criterion_06_invariance_suite(gens):
     report("6. invariance suite", ok)
 
 
-def test_criterion_07_orbit_tables(gens, words):
-    classes = ps.orbit_classes(gens, words)
+def test_criterion_07_orbit_tables(classes):
     t42 = all(ps.check_orbit_table(classes).values())
     t43 = all(ps.check_focal_table(classes).values())
     fsum = ps.focal_sum_reduced(classes)
@@ -108,16 +108,15 @@ def test_criterion_07_orbit_tables(gens, words):
     report("7. orbit class tables and factored focal sum", t42 and t43 and fsum_ok)
 
 
-def test_criterion_08_solver(gens, words):
-    classes = ps.orbit_classes(gens, words)
+def test_criterion_08_solver(gens, classes):
     full = ps.solve(ps.assemble_constraints(classes, gens, include_symmetry=True))
     partial = ps.solve(ps.assemble_constraints(classes, gens, include_symmetry=False))
     report("8. solver: line span{(1,1,-1,-1)}; dimension 2 without symmetry",
            full == (1, (-1, -1, 1, 1)) and partial == (2, None))
 
 
-def test_criterion_09_bundle_classes(cartan, gens, words):
-    solved = ps.solve(ps.assemble_constraints(ps.orbit_classes(gens, words), gens))
+def test_criterion_09_bundle_classes(cartan, gens, classes):
+    solved = ps.solve(ps.assemble_constraints(classes, gens))
     euler, p1_unit = ps.lemma8_classes(cartan, solved)
     report("9. Euler class (2,-1,0,0) and Pontryagin class 2k(w2 - w9)",
            euler == (2, -1, 0, 0) and p1_unit == (0, 2, 0, -2))

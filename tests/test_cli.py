@@ -461,8 +461,8 @@ def test_report_matches_golden(capsys, argv, fixture):
 
 @pytest.mark.parametrize("name, row", [("TABLE_AFTER_LEAF", 4), ("TABLE_FOCAL", 10)])
 def test_report_does_not_depend_on_table_dict_order(capsys, monkeypatch, name, row):
-    # a row dropped and put back returns at the end of its dict (as after the
-    # row-dropped planted faults); the report must read the rows in label order
+    # a row dropped and put back returns at the end of its dict; the report
+    # must read the rows in label order
     table = dict(getattr(pontsolve, name))
     monkeypatch.setattr(pontsolve, name, table)
     with monkeypatch.context() as mp:

@@ -152,31 +152,40 @@ def test_pushed_classes_match_the_letter_by_letter_push(words):
     assert list(run.pushed) == list(words)
 
 
+def _caller(frame):
+    """The function that a frame runs in, past comprehension frames."""
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
 def test_pipeline_pushes_one_letter_per_root(monkeypatch):
     # each root's word is one letter on another root's word, so the eleven
-    # roots other than root 1 take one step each, for the pushed and for the
-    # orbit classes; the 16 other cohomology actions are t-actions' intertwining
+    # roots other than root 1 take one push step each; the 16 other cohomology
+    # actions are t-actions' intertwining. The classes are orbit elements, so
+    # words are walked only for the pushed, and a signed permutation acts on a
+    # 4-tuple only in the symmetry rows: 3 stabilizer generators on 4 columns
     calls = {}
     for module, name in (
         (cohomring, "cohomology_action_omega"),
         (cohomring, "homology_action"),
+        (rootsys, "along_words"),
+        (rootsys, "act"),
+        (pontsolve, "act"),
     ):
         def counted(*args, _act=getattr(module, name), _name=name):
-            calls[_name] = calls.get(_name, 0) + 1
+            key = (_name, _caller(sys._getframe(1))) if _name in ("along_words", "act") else _name
+            calls[key] = calls.get(key, 0) + 1
             return _act(*args)
 
         monkeypatch.setattr(module, name, counted)
-
-    def counted_classes(words, start, step, _along=pontsolve.along_words):
-        def counted_step(*args):
-            calls["class step"] = calls.get("class step", 0) + 1
-            return step(*args)
-
-        return _along(words, start, counted_step)
-
-    monkeypatch.setattr(pontsolve, "along_words", counted_classes)
     assert obstruct.theorem_pipeline().theorem_status == "OBSTRUCTED"
-    assert calls == {"cohomology_action_omega": 27, "homology_action": 11, "class step": 11}
+    assert calls == {
+        "cohomology_action_omega": 27,
+        "homology_action": 11,
+        ("along_words", "pushed"): 1,
+        ("act", "symmetry_constraint"): 12,
+    }
 
 
 def test_erratum_records_present():
@@ -476,12 +485,12 @@ PLANTED_FAULTS = {
     ),
     # a table row that is missing is no row that matches
     "orbit-table-row-dropped": (
-        lambda mp: mp.delitem(pontsolve.TABLE_AFTER_LEAF, 4),
+        _dropped(pontsolve, "TABLE_AFTER_LEAF", 4),
         "orbit-table",
         "expected 1..12",
     ),
     "focal-table-row-dropped": (
-        lambda mp: mp.delitem(pontsolve.TABLE_FOCAL, 10),
+        _dropped(pontsolve, "TABLE_FOCAL", 10),
         "focal-table",
         "expected 7..12",
     ),
@@ -532,6 +541,34 @@ PLANTED_FAULTS = {
         lambda mp: mp.setattr(cohomring, "T_OF_OMEGA", [row[:3] for row in cohomring.T_OF_OMEGA]),
         "t-actions",
         "T_OF_OMEGA row lengths [3, 3, 3, 3], expected 4 x 4",
+    ),
+    # the leaf-sphere row reads T_OF_OMEGA at call time, as the rows t1..t4 of a 4 x 4 matrix
+    "omega-of-t-three-rows": (
+        lambda mp: mp.setattr(cohomring, "T_OF_OMEGA", cohomring.T_OF_OMEGA[:3]),
+        "pontryagin-solver",
+        "basis: T_OF_OMEGA row lengths [4, 4, 4], expected 4 x 4",
+    ),
+    "omega-of-t-five-rows": (
+        lambda mp: mp.setattr(cohomring, "T_OF_OMEGA", [*cohomring.T_OF_OMEGA, [0, 0, 0, 1]]),
+        "pontryagin-solver",
+        "basis: T_OF_OMEGA row lengths [4, 4, 4, 4, 4], expected 4 x 4",
+    ),
+    # Lemma 8 converts the solved line with cohomring's basis change, read at call time
+    "omega-from-t-zero": (
+        lambda mp: mp.setattr(cohomring, "omega_from_t", lambda c: (0, 0, 0, 0)),
+        "bundle-classes",
+        "p1 per unit k (0, 0, 0, 0)",
+    ),
+    # the checks pair classes with cohomring's Kronecker pairing and unit classes, read at call time
+    "kronecker-zero": (
+        lambda mp: mp.setattr(cohomring, "kronecker", lambda c, h: 0),
+        "kronecker-submatrix",
+        "submatrix [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]",
+    ),
+    "unit-zero": (
+        lambda mp: mp.setattr(cohomring, "unit", lambda i: (0, 0, 0, 0)),
+        "pairing-duality",
+        "1: False",
     ),
     "word-table-entry": (
         lambda mp: mp.setitem(rootsys.WORD_TABLE, 5, (1,)),
@@ -619,6 +656,19 @@ def test_planted_fault_fails_named_check(monkeypatch, fault):
     assert check_id in [c.id for c in rep.checks if c.status == "fail"]
     rec = next(c for c in rep.checks if c.id == check_id)
     assert detail in rec.detail
+
+
+def test_planted_faults_leave_the_tables_in_label_order(monkeypatch):
+    # a fault is undone without reordering a hand table, so a later test reads the rows as printed
+    tables = ((rootsys, "_POSITIVE_ROOT_COORDS"), (rootsys, "WORD_TABLE"),
+              (pontsolve, "TABLE_AFTER_LEAF"), (pontsolve, "TABLE_FOCAL"))
+    for fault, (plant, _, _) in PLANTED_FAULTS.items():
+        with monkeypatch.context() as mp:
+            plant(mp)
+            obstruct.theorem_pipeline()
+        for module, name in tables:
+            table = getattr(module, name)
+            assert list(table) == sorted(table), (fault, name)
 
 
 def test_planted_faults_name_every_check():

@@ -8,7 +8,7 @@ from d4check import cohomring as ch
 from d4check import obstruct
 from d4check import pontsolve as ps
 from d4check.rootsys import WORD_TABLE, act, build_d4, enumerate_group, simple_cartan_matrix, simple_generators
-from signed_perms import ALL_SIGNED_PERMS, BY_CODE, WORD_SETS, apply, code, compose, element_from_word
+from signed_perms import ALL_SIGNED_PERMS, BY_CODE, apply, code, compose, element_from_word
 
 #: each root's word as printed; root 1 has the empty word
 WORDS = {1: (), **WORD_TABLE}
@@ -26,8 +26,8 @@ def acts():
 
 
 @pytest.fixture(scope="module")
-def classes(acts):
-    return ps.orbit_classes(acts, WORDS)
+def classes():
+    return obstruct.Run().classes
 
 
 def test_base_class_is_generic(classes):
@@ -76,26 +76,32 @@ def _word_element(word, acts):
 
 
 def test_classes_are_pullbacks_by_the_word_elements(acts, classes):
-    # the letter-by-letter pullback of the generic class is the code of the word's product
+    # a run's class for each root is the code of its printed word's product
     assert list(classes) == list(range(1, 13))
     for idx, word in WORDS.items():
         assert classes[idx] == _word_element(word, acts)
 
 
-@settings(max_examples=50, deadline=None)
-@given(words=WORD_SETS)
-@example(words={5: (2, 1, 3, 2), 4: (1, 3, 2), 3: (1, 3, 2), 2: (9,), 1: ()})
-def test_orbit_classes_match_the_letter_by_letter_pullback(acts, words):
-    # each class is one letter on its tail's class, whether or not the tail is a word of the set
-    classes = ps.orbit_classes(acts, words)
-    assert list(classes) == list(words)
-    for idx, word in words.items():
-        assert classes[idx] == _word_element(word, acts)
+def test_group_elements_are_the_letter_by_letter_pullbacks(acts):
+    # the generic class pulled back one letter at a time, rightmost first, by the
+    # reference action is the element that the closure keeps with the word
+    group = enumerate_group(acts)
+    assert len(group) == 192
+    ref = {label: BY_CODE[g] for label, g in acts.items()}
+    for w, word in group.items():
+        cls = (1, 2, 3, 4)
+        for label in reversed(word):
+            cls = apply(ref[label], cls)
+        assert cls == w
 
 
 def test_run_classes_read_the_group_words(classes):
-    # the words a run reads off the Weyl group give the same twelve classes
-    assert obstruct.Run().classes == classes
+    # root i's class carries root 1 to root i, and its word is the run's word for root i
+    run = obstruct.Run()
+    assert list(classes) == list(run.rs)
+    for i, w in classes.items():
+        assert run.group[w] == run.words[i]
+        assert act(w, run.rs[1]) == run.rs[i]
 
 
 @settings(max_examples=50, deadline=None)
@@ -120,9 +126,9 @@ def test_pullback_roundtrip(acts, classes):
 
 
 def test_pullback_and_substitution_act_on_the_left(acts):
-    # orbit_classes pulls back generator by generator, from the right of the
-    # word; that equals pulling back once by the word's product only if each
-    # action is a left action
+    # the closure builds a word's element one generator at a time, from the
+    # right of the word; pulling back by that product equals pulling back
+    # generator by generator only if each action is a left action
     group = enumerate_group(acts)
     assert len(group) == 192
     generic = (1, 2, 3, 4)

@@ -262,14 +262,16 @@ def test_orbit_of_first_root(rs, group):
 
 def test_orbit_of_identity(rs):
     v = (3, 1, 4, 1)
-    assert rootsys.orbit(rootsys.enumerate_group({}), v) == {v: ()}
+    assert rootsys.orbit(rootsys.enumerate_group({}), v) == {v: (1, 2, 3, 4)}
 
 
 def test_orbit_words_are_least_by_brute_force(rs, ref_gens, group):
-    # each image's word is the least (length, word) over all 192 elements that
-    # carry root 1 there, and that word's product does carry it there
+    # each image's element carries root 1 there and has the least (length, word)
+    # over all 192 elements that do, and that word's product carries it there too
     orb = rootsys.orbit(group, rs[1])
-    for image, word in orb.items():
+    for image, element in orb.items():
+        word = group[element]
+        assert apply(BY_CODE[element], rs[1]) == image
         least = min((len(u), u) for w, u in group.items() if apply(BY_CODE[w], rs[1]) == image)
         assert (len(word), word) == least
         assert apply(element_from_word(word, ref_gens), rs[1]) == image
@@ -278,7 +280,7 @@ def test_orbit_words_are_least_by_brute_force(rs, ref_gens, group):
 def test_word_table(rs, group):
     # the printed words are the derived ones, and root 1 has the empty word
     orb = rootsys.orbit(group, rs[1])
-    assert {i: orb[a] for i, a in rs.items()} == {1: (), **WORD_TABLE}
+    assert {i: group[orb[a]] for i, a in rs.items()} == {1: (), **WORD_TABLE}
 
 
 def test_words_replay_to_elements(rs, ref_gens, group):
